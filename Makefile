@@ -26,7 +26,10 @@ coverage:
 # BENCH_monitoring.json, BENCH_chaos.json, and BENCH_telemetry.json at
 # the repo root (uploaded as CI artifacts). The fastpath smoke asserts a
 # conservative >=1.2x speedup floor (REPRO_FASTPATH_MIN_SPEEDUP) so
-# shared runners don't flake; the serving smoke asserts bit-identity of
+# shared runners don't flake, against the default fit for
+# shared_binning and the chunked packed="never" path for prediction, plus
+# bit-identity of every timed pair and of the fit loop's per-member
+# majority scores; the serving smoke asserts bit-identity of
 # the served path and records latency percentiles without a floor; the
 # monitoring smoke asserts the hot-swap zero-blocked-requests contract;
 # the chaos smoke asserts the fault-tolerance SLOs (zero hung futures,
@@ -45,8 +48,9 @@ bench-smoke:
 	REPRO_SCALE=0.25 $(PYTHON) benchmarks/bench_telemetry.py
 	$(PYTHON) tools/bench_report.py
 
-# Full-scale fastpath speedup benchmark (fit / score / predict, legacy vs
-# packed + shared-binning paths, bit-identity asserted on every pair).
+# Full-scale fastpath speedup benchmark: SPE fit (default vs
+# shared_binning=True) and predict_proba (chunked packed="never" vs packed
+# kernel / code table), bit-identity asserted on every pair.
 bench-fastpath:
 	$(PYTHON) benchmarks/bench_fastpath.py
 

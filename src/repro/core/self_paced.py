@@ -29,14 +29,8 @@ import numpy as np
 from .. import telemetry
 from ..base import BaseEstimator, ClassifierMixin
 from ..ensemble.bagging import make_member_model
-from ..fastpath import (
-    BinnedSubset,
-    CodeTable,
-    PackedForest,
-    ScoringMatrix,
-    fastpath_enabled,
-    shared_bin_context_for,
-)
+from ..fastpath import BinnedSubset, shared_bin_context_for
+from ..fastpath.codetable import SharedMemberScorer
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
 from ..utils.validation import (
     BinaryLabelEncoderMixin,
@@ -172,19 +166,17 @@ class InMemoryMajorityAccess:
     in block-streaming implementations while sharing the loop — and with it
     the RNG consumption order that makes the two paths bit-identical.
 
-    Scoring fast path: the majority matrix is fixed across all iterations,
-    so on the first tree-model score it is rank-coded exactly once into a
-    :class:`~repro.fastpath.ScoringMatrix` (smallest unsigned dtype that
-    fits each feature's cardinality — ``uint8`` up to 256 distinct values)
-    and every subsequent score runs the packed kernel over the small integer
-    codes. Threshold→code-cut mapping makes the routing exactly the raw
-    float comparisons, so the returned probabilities are bit-identical to
-    the legacy ``proba_fn`` path (gated by the fastpath equivalence suite);
-    non-tree models, or ``REPRO_FASTPATH=0``, fall back to ``proba_fn``.
+    Scoring runs ``proba_fn`` — the same
+    :func:`~repro.parallel.ensemble_predict_proba` call ``predict_proba``
+    makes, so tree members go through the packed kernel on the float rows.
+    Members fitted against ``bin_context`` (``shared_binning=True``) are
+    scored instead through their compiled code table over the cached fine
+    codes (:class:`~repro.fastpath.codetable.SharedMemberScorer`); both
+    routes are bit-identical to the chunked per-tree path.
 
-    With ``bin_context`` set (``shared_binning=True``), the gather methods
-    hand out :class:`BinnedSubset` views so member trees fit directly on the
-    shared pre-binned codes.
+    With ``bin_context`` set, the gather methods also hand out
+    :class:`BinnedSubset` views so member trees fit directly on the shared
+    pre-binned codes.
     """
 
     def __init__(
@@ -199,8 +191,9 @@ class InMemoryMajorityAccess:
         self._X_maj = X[maj_idx]
         self._proba_fn = proba_fn
         self._context = bin_context
-        self._scoring: Optional[ScoringMatrix] = None
-        self._fine_codes_maj: Optional[np.ndarray] = None
+        self._shared = (
+            SharedMemberScorer(bin_context, maj_idx) if bin_context is not None else None
+        )
 
     def take_global(self, indices: np.ndarray) -> np.ndarray:
         """Rows by global dataset index (the cold-start draw)."""
@@ -216,44 +209,11 @@ class InMemoryMajorityAccess:
 
     def score(self, model) -> np.ndarray:
         """Positive-class probability of ``model`` on every majority row."""
-        if fastpath_enabled():
-            forest = PackedForest.from_estimators([model], np.array([0, 1]))
-            if forest is not None and forest.n_features == self._X_maj.shape[1]:
-                scored = self._score_shared_member(model, forest)
-                if scored is not None:
-                    return scored
-                if self._scoring is None:
-                    self._scoring = ScoringMatrix(self._X_maj)
-                return self._scoring.score(forest)[:, 1]
+        if self._shared is not None:
+            proba = self._shared.predict_proba(model, np.array([0, 1]))
+            if proba is not None:
+                return proba[:, 1]
         return self._proba_fn(model, self._X_maj)
-
-    def _score_shared_member(self, model, forest) -> Optional[np.ndarray]:
-        """Decision-table scoring for a member fitted against this fit's
-        shared bin context: compile the member's (small) per-cell table,
-        then score all majority rows with d LUT gathers over the cached
-        fine codes — no tree traversal over rows at all."""
-        if (
-            self._context is None
-            or getattr(model, "_shared_bin_context", None) is not self._context
-        ):
-            return None
-        member_binner = getattr(model, "_member_binner", None)
-        if member_binner is None:
-            return None
-        table = CodeTable.maybe_build(forest, member_binner)
-        if table is None:
-            return None
-        if self._fine_codes_maj is None:
-            self._fine_codes_maj = self._context.codes[self._maj_idx]
-        remap = getattr(model, "_member_remap", None)
-        fine = self._fine_codes_maj
-        cells = np.zeros(len(fine), dtype=np.int64)
-        for j in range(fine.shape[1]):
-            if remap is None:
-                cells += table.strides[j] * fine[:, j].astype(np.int64)
-            else:
-                cells += (remap[j] * table.strides[j])[fine[:, j]]
-        return table.table[cells, 1]
 
 
 class SelfPacedEnsembleClassifier(
@@ -288,10 +248,12 @@ class SelfPacedEnsembleClassifier(
         Keep per-iteration :class:`HardnessBins` and α in ``bin_history_``
         (used by the Fig 3 reproduction).
     n_jobs : int, optional
-        Workers for the chunked scoring paths (per-iteration majority
+        Workers for the chunked scoring path (per-iteration majority
         re-scoring and ``predict_proba``); ``None``/1 serial, ``-1`` all
-        CPUs. Training stays iteration-sequential (Algorithm 1 is a
-        cascade), so results are identical for every ``n_jobs``.
+        CPUs. Only non-tree members take that path: tree members are scored
+        by the packed kernel in-process, so ``n_jobs`` does not affect them.
+        Training stays iteration-sequential (Algorithm 1 is a cascade), so
+        results are identical for every ``n_jobs``.
     backend : {"serial", "thread", "process"}, default "thread"
         Executor used by the scoring paths (see :mod:`repro.parallel`).
     chunk_size : int, optional
@@ -311,12 +273,12 @@ class SelfPacedEnsembleClassifier(
 
     Notes
     -----
-    Two further fastpath knobs act on SPE without changing any result:
-    the packed-forest kernel behind ``predict_proba`` and the rank-coded
-    majority scoring inside ``fit`` are bit-identical to the legacy
-    per-tree loops and are on by default — set ``REPRO_FASTPATH=0`` (or use
-    :func:`repro.fastpath.fastpath_disabled`) to fall back, e.g. for A/B
-    timing (``benchmarks/bench_fastpath.py``).
+    Tree members are scored by the packed-forest kernel, both by
+    ``predict_proba`` and by the majority re-scoring inside ``fit``; it is
+    bit-identical to the chunked per-tree path, which
+    :func:`repro.parallel.ensemble_predict_proba` runs with
+    ``packed="never"`` and which ``n_jobs`` / ``backend`` / ``chunk_size``
+    configure.
 
     Attributes
     ----------

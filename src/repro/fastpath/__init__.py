@@ -9,10 +9,11 @@ Two independent pieces (see ``DESIGN.md`` → "fastpath"):
   equivalent rather than bit-identical).
 * **Inference** — :class:`PackedForest` flattens all fitted trees into
   contiguous node arrays and evaluates all trees × all rows in one
-  level-synchronous pass; :class:`ScoringMatrix` rank-codes a fixed matrix
-  once so the SPE fit loop re-scores the majority set over small integer
-  codes. Both are bit-identical to the legacy per-tree path and on by
-  default (``REPRO_FASTPATH=0`` / :func:`fastpath_disabled` opt out).
+  level-synchronous pass; :class:`CodeTable` compiles a shared-binned
+  forest into one probability per code cell. Both are bit-identical to the
+  per-tree path; ``ensemble_predict_proba`` uses them whenever the
+  ensemble is packable, and ``packed="never"`` selects the chunked
+  per-tree reference for a single call.
 """
 
 from .bincontext import (
@@ -22,8 +23,7 @@ from .bincontext import (
     shared_bin_context_for,
 )
 from .codetable import CodeTable, cached_packed_ensemble, warm_serving_pack
-from .config import fastpath_disabled, fastpath_enabled, set_fastpath
-from .packed import ESTIMATOR_BLOCK, PackedForest, ScoringMatrix, trees_of
+from .packed import ESTIMATOR_BLOCK, PackedForest, trees_of
 
 __all__ = [
     "BinnedSubset",
@@ -33,11 +33,7 @@ __all__ = [
     "CodeTable",
     "cached_packed_ensemble",
     "warm_serving_pack",
-    "fastpath_disabled",
-    "fastpath_enabled",
-    "set_fastpath",
     "ESTIMATOR_BLOCK",
     "PackedForest",
-    "ScoringMatrix",
     "trees_of",
 ]

@@ -1,7 +1,7 @@
 """Bin-once / fit-many training context.
 
 Every bagging-style ensemble in this library draws its member training sets
-from rows of one fixed matrix, yet the legacy path re-runs
+from rows of one fixed matrix, yet the default path re-runs
 ``FeatureBinner.fit`` (per-feature ``np.unique`` + quantile cuts) inside
 *every* member tree fit. :class:`SharedBinContext` amortises that work: the
 matrix is binned exactly once per ensemble fit at *fine* resolution
@@ -32,7 +32,7 @@ directly on the requantized codes, skipping per-member ``check_X_y`` +
 Shared binning is **opt-in** (``shared_binning=True`` on the ensembles):
 member cut points are constrained to the shared fine-edge grid, so the
 fitted trees are statistically equivalent but not bit-identical to the
-legacy per-member-binned trees (see ``DESIGN.md``; the inference fastpath,
+default per-member-binned trees (see ``DESIGN.md``; the inference fastpath,
 by contrast, is always bit-identical).
 """
 

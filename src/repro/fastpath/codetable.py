@@ -23,6 +23,11 @@ when compilable) alive per ensemble so repeated ``predict_proba`` calls —
 the serving pattern — skip re-packing. The cache is keyed weakly by the
 first estimator and revalidated by identity against every member and its
 fitted ``tree_``, so refitting any member rebuilds the pack.
+
+``SharedMemberScorer`` is the fit-time companion: it scores one member at
+a time over a fixed row set of the shared context (the SPE majority) by
+compiling the member's own small table over its requantized grid and
+mapping the cached fine codes onto it — no tree traversal over rows.
 """
 
 from __future__ import annotations
@@ -33,10 +38,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import fastpath_enabled
 from .packed import PackedForest, _LEAF
 
-__all__ = ["CodeTable", "cached_packed_ensemble", "warm_serving_pack"]
+__all__ = [
+    "CodeTable",
+    "SharedMemberScorer",
+    "cached_packed_ensemble",
+    "warm_serving_pack",
+]
 
 #: Largest code grid a table is compiled for (cells × classes × 8 bytes).
 MAX_CELLS = 1 << 16
@@ -122,6 +131,50 @@ class CodeTable:
         return self.table[self.cell_ids(codes)]
 
 
+class SharedMemberScorer:
+    """Table scoring of single members over fixed rows of a shared context.
+
+    A member fitted on views of ``context`` splits on its own requantized
+    grid (``_member_binner``), reached from the shared fine codes through
+    the per-feature LUT ``_member_remap`` (``None`` when the member kept the
+    fine grid). That grid is small, so the member compiles into a
+    :class:`CodeTable` and every row is scored with d LUT gathers over the
+    fine codes of ``rows``, gathered once on first use. Bit-identical to
+    traversal, like every code table.
+    """
+
+    def __init__(self, context, rows: np.ndarray):
+        self._context = context
+        self._rows = rows
+        self._fine_codes: Optional[np.ndarray] = None
+
+    def predict_proba(self, model, classes: np.ndarray) -> Optional[np.ndarray]:
+        """Class probabilities of ``model`` on the rows, or ``None`` when the
+        model was not fitted against this context or does not compile."""
+        if getattr(model, "_shared_bin_context", None) is not self._context:
+            return None
+        member_binner = getattr(model, "_member_binner", None)
+        if member_binner is None:
+            return None
+        forest = PackedForest.from_estimators([model], classes)
+        if forest is None:
+            return None
+        table = CodeTable.maybe_build(forest, member_binner)
+        if table is None:
+            return None
+        if self._fine_codes is None:
+            self._fine_codes = self._context.codes[self._rows]
+        fine = self._fine_codes
+        remap = getattr(model, "_member_remap", None)
+        cells = np.zeros(len(fine), dtype=np.int64)
+        for j in range(fine.shape[1]):
+            if remap is None:
+                cells += table.strides[j] * fine[:, j].astype(np.int64)
+            else:
+                cells += (remap[j] * table.strides[j])[fine[:, j]]
+        return table.table[cells]
+
+
 def _shared_context(estimators: Sequence):
     """The one SharedBinContext every member tree was fitted against, or
     ``None`` (member without a context, or differing contexts)."""
@@ -185,16 +238,15 @@ def warm_serving_pack(model) -> Tuple[bool, bool]:
     Uses the model's ``__serving_ensemble__`` hook — the exact
     ``(estimators, classes)`` pair ``predict_proba`` feeds to the pack
     cache — so the warmed entry is the one every later request hits.
-    ``(False, False)`` when the model has no hook, its members are not
-    packable, or the fastpath is disabled; callers then serve through the
-    model's normal path. This is the pre-build step of both
-    :class:`~repro.serving.ModelServer` construction and
-    :meth:`~repro.serving.ModelServer.swap_model` — the swap packs the
-    challenger *before* flipping the active model, so no in-flight request
-    ever waits on a re-pack.
+    ``(False, False)`` when the model has no hook or its members are not
+    packable; callers then serve through the model's normal path. This is
+    the pre-build step of both :class:`~repro.serving.ModelServer`
+    construction and :meth:`~repro.serving.ModelServer.swap_model` — the
+    swap packs the challenger *before* flipping the active model, so no
+    in-flight request ever waits on a re-pack.
     """
     hook = getattr(model, "__serving_ensemble__", None)
-    if hook is None or not fastpath_enabled():
+    if hook is None:
         return False, False
     estimators, classes = hook()
     entry = cached_packed_ensemble(list(estimators), classes)

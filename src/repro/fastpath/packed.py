@@ -28,18 +28,15 @@ bulk-throughput regime).
 Bit-identity: routing uses the same ``x < threshold`` comparisons as
 :meth:`repro.tree.Tree.apply` (NaN falls right in both), leaf lookup is
 arithmetic-free, and :meth:`PackedForest.proba_from_leaves` replays the
-legacy accumulation order of :func:`repro.parallel.ensemble_predict_proba`
+chunked accumulation order of :func:`repro.parallel.ensemble_predict_proba`
 exactly — trees summed sequentially inside fixed blocks of
 :data:`ESTIMATOR_BLOCK`, block partials reduced in block order, one final
 division — so the probabilities match the per-tree path bit for bit
 (gated by ``tests/test_fastpath_equivalence.py``).
 
-``ScoringMatrix`` is the fixed-matrix companion for the SPE fit loop: the
-majority matrix is rank-coded per feature exactly once (smallest unsigned
-integer dtype that fits the per-feature cardinality — ``uint8`` up to 256
-distinct values), and any tree threshold ``t`` is mapped to the exact code
-cut ``#{values < t}``, so repeated per-iteration scoring never touches the
-float64 matrix again yet routes every row identically.
+The same kernel serves every caller: ``predict_proba``, serving batches,
+and the SPE fit loop's per-iteration majority scoring all reach it through
+:func:`repro.parallel.ensemble_predict_proba`.
 """
 
 from __future__ import annotations
@@ -50,9 +47,9 @@ import numpy as np
 
 from ..tree._tree import Tree
 
-__all__ = ["ESTIMATOR_BLOCK", "PackedForest", "ScoringMatrix", "trees_of"]
+__all__ = ["ESTIMATOR_BLOCK", "PackedForest", "trees_of"]
 
-#: Estimators per accumulation block. Must match the legacy chunked engine
+#: Estimators per accumulation block. Must match the chunked engine
 #: (:mod:`repro.parallel.inference` imports it from here) so the two paths
 #: share one floating-point reduction order.
 ESTIMATOR_BLOCK = 8
@@ -171,7 +168,7 @@ class PackedForest:
     def from_estimators(cls, estimators: Sequence, classes: np.ndarray):
         """Pack fitted tree classifiers, or return ``None`` when the
         ensemble is not packable (non-tree member, unknown class, or
-        inconsistent feature counts — the caller then uses the legacy
+        inconsistent feature counts — the caller then uses the chunked
         path, which also owns the error reporting for those cases)."""
         trees = trees_of(estimators)
         if trees is None:
@@ -244,7 +241,7 @@ class PackedForest:
 
     # ------------------------------------------------------------------ #
     def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
-        """Average class distribution, replaying the legacy reduction order:
+        """Average class distribution, replaying the chunked reduction order:
         sequential in-block sums, then block partials in block order, then
         one division by the tree count."""
         n = leaves.shape[1]
@@ -263,48 +260,3 @@ class PackedForest:
         """Class probabilities, columns ordered by ``classes_``."""
         return self.proba_from_leaves(self.apply(X))
 
-
-class ScoringMatrix:
-    """A fixed matrix pre-coded for exact, repeated tree scoring.
-
-    Each feature column is replaced by the rank of its value among the
-    column's sorted distinct values. For any threshold ``t``,
-    ``x < t  ⇔  rank(x) < #{distinct values < t}``, so routing through the
-    integer codes is *exactly* the raw-float comparison — for arbitrary
-    trees, not just trees fitted on this matrix. The per-feature distinct
-    values are kept to map thresholds at scoring time (O(tree nodes), not
-    O(rows)).
-    """
-
-    def __init__(self, X: np.ndarray):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        self.n_rows, self.n_features = X.shape
-        self._uniques = tuple(np.unique(X[:, j]) for j in range(self.n_features))
-        max_card = max((u.size for u in self._uniques), default=1)
-        if max_card <= np.iinfo(np.uint8).max + 1:
-            dtype: type = np.uint8
-        elif max_card <= np.iinfo(np.uint16).max + 1:
-            dtype = np.uint16
-        else:
-            dtype = np.int64
-        codes = np.empty((self.n_rows, self.n_features), dtype=dtype)
-        for j, uniques in enumerate(self._uniques):
-            codes[:, j] = np.searchsorted(uniques, X[:, j]).astype(dtype)
-        self.codes = codes
-
-    def threshold_cuts(self, forest: PackedForest) -> np.ndarray:
-        """Per-node code cut ``#{distinct values < threshold}`` (0 at leaves)."""
-        cuts = np.zeros(len(forest.feature), dtype=np.int64)
-        internal = forest.feature != _LEAF
-        for j in np.unique(forest.feature[internal]):
-            sel = forest.feature == j
-            cuts[sel] = np.searchsorted(
-                self._uniques[j], forest.threshold[sel], side="left"
-            )
-        return cuts
-
-    def score(self, forest: PackedForest) -> np.ndarray:
-        """Averaged class probabilities of the packed ensemble on this
-        matrix, bit-identical to evaluating the raw floats."""
-        leaves = forest.apply_codes(self.codes, self.threshold_cuts(forest))
-        return forest.proba_from_leaves(leaves)

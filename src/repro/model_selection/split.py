@@ -49,8 +49,14 @@ def train_test_split(
     """Split arrays into random train and test subsets.
 
     With ``stratify=True`` (default — always what you want with IR ≫ 1) the
-    class proportions of ``y`` are preserved in both parts.
+    class proportions of ``y`` are preserved in both parts. ``stratify`` is
+    a flag, not sklearn's label array: the labels are always ``y``.
     """
+    if not isinstance(stratify, (bool, np.bool_)):
+        raise DataValidationError(
+            f"stratify must be a bool (stratification always uses y), got "
+            f"{type(stratify).__name__}"
+        )
     if not 0.0 < test_size < 1.0:
         raise DataValidationError(f"test_size must be in (0, 1), got {test_size}")
     X = np.asarray(X)

@@ -1,20 +1,17 @@
-"""Fastpath equivalence contract: packed inference and fastpath scoring are
-bit-identical to the legacy per-tree paths, for every tree-based ensemble
-and for the degenerate shapes that break naive packing."""
+"""Fastpath equivalence contract: packed inference and the SPE fit loop's
+majority scoring are bit-identical to the chunked per-tree path
+(``packed="never"``), for every tree-based ensemble and for the degenerate
+shapes that break naive packing."""
 
 import numpy as np
 import pytest
 
 from repro.core import SelfPacedEnsembleClassifier
+from repro.core.self_paced import InMemoryMajorityAccess
 from repro.datasets import make_checkerboard
 from repro.ensemble import BaggingClassifier, RandomForestClassifier
-from repro.fastpath import (
-    CodeTable,
-    PackedForest,
-    ScoringMatrix,
-    cached_packed_ensemble,
-    fastpath_disabled,
-)
+from repro.fastpath import CodeTable, PackedForest, cached_packed_ensemble
+from repro.fastpath.codetable import SharedMemberScorer
 from repro.imbalance_ensemble import (
     BalanceCascadeClassifier,
     EasyEnsembleClassifier,
@@ -42,9 +39,8 @@ def _assert_packed_matches_legacy(model, X):
         model.estimators_, X, model.classes_, packed="never"
     )
     assert np.array_equal(proba_fast, proba_legacy)
-    # and through the public API with the kernels globally disabled
-    with fastpath_disabled():
-        assert np.array_equal(model.predict_proba(X), proba_legacy)
+    # and through the public API
+    assert np.array_equal(model.predict_proba(X), proba_legacy)
 
 
 class TestPackedEqualsPerTree:
@@ -152,38 +148,30 @@ class TestDegenerateShapes:
 
 
 class TestScoringFastpath:
-    """The SPE fit loop's majority scoring (ScoringMatrix / CodeTable) must
-    not change the fitted ensemble by a single bit."""
+    """The SPE fit loop's majority scoring (packed kernel / per-member code
+    table) must equal the chunked per-tree path bit for bit, so it cannot
+    change the fitted ensemble."""
 
     @pytest.mark.parametrize("shared", [False, True])
-    def test_fit_bit_identical_with_and_without_kernels(self, data, test_rows, shared):
+    def test_fit_bit_identical_with_and_without_kernels(self, data, shared):
         X, y = data
-        fast = SelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             n_estimators=6, shared_binning=shared, random_state=0
         ).fit(X, y)
-        with fastpath_disabled():
-            legacy = SelfPacedEnsembleClassifier(
-                n_estimators=6, shared_binning=shared, random_state=0
-            ).fit(X, y)
-            # evaluate both through the same (legacy) path to isolate fit
-            p_fast = fast.predict_proba(test_rows)
-            p_legacy = legacy.predict_proba(test_rows)
-        assert np.array_equal(p_fast, p_legacy)
-
-    def test_scoring_matrix_exact_for_foreign_trees(self, data, test_rows):
-        """Rank-coded scoring is exact for trees fitted on *other* data —
-        thresholds fall between the matrix's values arbitrarily."""
-        X, y = data
-        rng = np.random.RandomState(3)
-        X_other = rng.randn(300, X.shape[1])
-        tree = DecisionTreeClassifier(max_depth=6).fit(
-            X_other, (X_other[:, 0] > 0).astype(int)
+        maj_idx = np.flatnonzero(y == model.majority_class_)
+        context = getattr(model.estimators_[0], "_shared_bin_context", None)
+        assert (context is not None) == shared
+        majority = InMemoryMajorityAccess(
+            X, maj_idx, model._proba_pos, bin_context=context
         )
-        forest = PackedForest.from_estimators([tree], np.array([0, 1]))
-        scoring = ScoringMatrix(test_rows)
-        assert np.array_equal(
-            scoring.score(forest), forest.predict_proba(test_rows)
-        )
+        for member in model.estimators_:
+            reference = ensemble_predict_proba(
+                [member], X[maj_idx], np.array([0, 1]), packed="never"
+            )[:, 1]
+            assert np.array_equal(majority.score(member), reference)
+            if shared:  # the per-member code table must actually compile
+                table = SharedMemberScorer(context, maj_idx)
+                assert table.predict_proba(member, np.array([0, 1])) is not None
 
     def test_code_table_refuses_foreign_thresholds(self, data):
         """A tree whose thresholds are not shared-binner edges must not be

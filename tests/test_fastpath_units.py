@@ -7,15 +7,7 @@ import pytest
 
 from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_paced_bin_weights
 from repro.core.self_paced import self_paced_under_sample
-from repro.fastpath import (
-    BinnedSubset,
-    PackedForest,
-    ScoringMatrix,
-    SharedBinContext,
-    fastpath_disabled,
-    fastpath_enabled,
-    set_fastpath,
-)
+from repro.fastpath import BinnedSubset, PackedForest, SharedBinContext
 from repro.parallel import ensemble_predict_proba
 from repro.parallel.executor import parallel_map
 from repro.parallel.inference import _SHARED_PAYLOADS
@@ -271,12 +263,6 @@ class TestPackedKernel:
             packed_mod._FUSED_LANES = original
         assert np.array_equal(fused, segmented)
 
-    def test_scoring_matrix_dtype_ladder(self, rng):
-        low_card = np.repeat(np.arange(4.0), 25).reshape(-1, 1)
-        assert ScoringMatrix(low_card).codes.dtype == np.uint8
-        high_card = rng.randn(60000, 1)
-        assert ScoringMatrix(high_card).codes.dtype == np.uint16
-
 
 # --------------------------------------------------------------------- #
 class TestInferencePayloads:
@@ -362,18 +348,3 @@ class TestInferencePayloads:
         gc.collect()
         assert ref() is None
 
-
-# --------------------------------------------------------------------- #
-class TestConfigSwitch:
-    def test_env_and_override(self, monkeypatch):
-        assert fastpath_enabled()
-        with fastpath_disabled():
-            assert not fastpath_enabled()
-        assert fastpath_enabled()
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert not fastpath_enabled()
-        set_fastpath(True)
-        try:
-            assert fastpath_enabled()
-        finally:
-            set_fastpath(None)

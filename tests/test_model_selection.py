@@ -57,6 +57,18 @@ class TestTrainTestSplit:
         with pytest.raises(DataValidationError):
             train_test_split(np.ones((5, 1)), np.ones(4))
 
+    @pytest.mark.parametrize(
+        "stratify",
+        [np.array([0, 1] * 110), [0, 1] * 110, np.array([True])],
+        ids=["array", "list", "length-1-array"],
+    )
+    def test_stratify_labels_rejected(self, stratify):
+        """sklearn's ``stratify=y`` idiom fails typed, and a length-1 array
+        does not silently pick a branch."""
+        X, y = _imbalanced()
+        with pytest.raises(DataValidationError, match="stratify must be a bool"):
+            train_test_split(X, y, stratify=stratify, random_state=0)
+
     @settings(max_examples=20)
     @given(st.floats(min_value=0.1, max_value=0.9))
     def test_sizes_property(self, test_size):

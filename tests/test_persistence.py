@@ -3,8 +3,8 @@
 The acceptance criteria of the persistence issue:
 
 * ``load_model(save_model(clf))`` predicts **bit-identically** to ``clf``
-  for every ensemble class, with the fastpath on and off and across
-  execution backends;
+  for every ensemble class, on the packed kernel and on the chunked
+  per-tree path, and across execution backends;
 * corrupted artifacts and unknown schema versions are rejected with clear
   :class:`~repro.exceptions.PersistenceError`\\ s, never silently misread;
 * label-decoded models ({-1, 1}, strings) round-trip including their
@@ -24,8 +24,8 @@ from repro.datasets import make_checkerboard
 from repro.ensemble.bagging import BaggingClassifier
 from repro.ensemble.forest import RandomForestClassifier
 from repro.exceptions import NotFittedError, PersistenceError
-from repro.fastpath import fastpath_disabled
 from repro.imbalance_ensemble import EasyEnsembleClassifier, UnderBaggingClassifier
+from repro.parallel import ensemble_predict_proba
 from repro.persistence import SCHEMA_VERSION, load_model, save_model
 from repro.persistence.format import MAGIC
 from repro.streaming import StreamingSelfPacedEnsembleClassifier
@@ -57,6 +57,12 @@ def _builders():
     }
 
 
+def _chunked_proba(model, X):
+    """The model's voting members scored on the chunked per-tree path."""
+    members, classes = model.__serving_ensemble__()
+    return ensemble_predict_proba(members, X, classes, packed="never")
+
+
 class TestRoundTripBitIdentity:
     @pytest.mark.parametrize("name", sorted(_builders()))
     @pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "legacy"])
@@ -67,8 +73,7 @@ class TestRoundTripBitIdentity:
         if fastpath:
             ref, got = clf.predict_proba(X_test), loaded.predict_proba(X_test)
         else:
-            with fastpath_disabled():
-                ref, got = clf.predict_proba(X_test), loaded.predict_proba(X_test)
+            ref, got = _chunked_proba(clf, X_test), _chunked_proba(loaded, X_test)
         assert np.array_equal(ref, got)
         assert np.array_equal(clf.predict(X_test), loaded.predict(X_test))
         assert np.array_equal(clf.classes_, loaded.classes_)
@@ -80,12 +85,14 @@ class TestRoundTripBitIdentity:
         X, y, X_test = data
         clf = SelfPacedEnsembleClassifier(n_estimators=4, random_state=0).fit(X, y)
         loaded = load_model(save_model(clf, tmp_path / "m.npz"))
-        loaded.backend = backend
-        loaded.n_jobs = 2
-        loaded.chunk_size = 64
-        with fastpath_disabled():  # force the chunked backend path
-            ref = clf.predict_proba(X_test)
-            got = loaded.predict_proba(X_test)
+        classes = np.array([0, 1])
+        ref = ensemble_predict_proba(
+            clf.estimators_, X_test, classes, packed="never"
+        )
+        got = ensemble_predict_proba(
+            loaded.estimators_, X_test, classes, packed="never",
+            backend=backend, n_jobs=2, chunk_size=64,
+        )
         assert np.array_equal(ref, got)
 
     def test_shared_binning_context_round_trips(self, data, tmp_path):
