@@ -86,14 +86,16 @@ bench-telemetry:
 	$(PYTHON) benchmarks/bench_telemetry.py
 
 # No third-party linters in the toolchain: byte-compile everything so
-# syntax/undefined-future errors fail fast, then run repro-lint — the
+# syntax/undefined-future errors fail fast (perfbench/ is byte-compiled
+# only, so a syntax error there fails lint before it can block the perf
+# gate; repro-lint does not run over it), then run repro-lint — the
 # repo's own AST-based static-analysis suite (tools/repro_lint.py). It
 # enforces the concurrency, determinism, exception-contract, resource-
 # lifecycle, and API-surface rules (see DESIGN.md) and folds in the
 # classifier-registry audit, so this is the single lint gate with one
 # exit code. Writes LINT_report.json (uploaded as a CI artifact).
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples tools
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools perfbench
 	$(PYTHON) tools/repro_lint.py src tests benchmarks tools --format=json --out LINT_report.json
 
 # Deliberate act only: regenerate the grandfathered-findings baseline

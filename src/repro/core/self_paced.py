@@ -131,11 +131,12 @@ def self_paced_under_sample(
     drive it directly.
 
     Bin membership is gathered with one stable argsort over the assignments
-    instead of a per-bin ``np.flatnonzero`` scan (O(n log n) total instead
-    of O(k·n)). A stable sort keeps equal keys in ascending original order,
-    so each bin's member array — and therefore every ``rng.choice`` draw —
-    is bit-identical to the per-bin-scan formulation (pinned by
-    ``tests/test_fastpath_units.py``).
+    instead of a per-bin ``np.flatnonzero`` scan (a radix sort on the
+    narrowest key dtype, O(n) total instead of O(k·n)), and each bin's
+    slice starts at the running sum of the bin populations. A stable sort
+    keeps equal keys in ascending original order, so each bin's member
+    array — and therefore every ``rng.choice`` draw — is bit-identical to
+    the per-bin-scan formulation (pinned by ``tests/test_fastpath_units.py``).
     """
     bins = cut_hardness_bins(hardness, k_bins)
     if bins.degenerate:
@@ -143,8 +144,10 @@ def self_paced_under_sample(
         return rng.choice(hardness.size, size=n, replace=False), bins
     weights = self_paced_bin_weights(bins, alpha)
     counts = allocate_bin_samples(weights, bins.populations, n_samples)
-    order = np.argsort(bins.assignments, kind="stable")
-    starts = np.searchsorted(bins.assignments[order], np.arange(bins.k + 1))
+    # Narrowest unsigned keys: numpy's stable sort is then a radix sort.
+    keys = bins.assignments.astype(np.min_scalar_type(bins.k))
+    order = np.argsort(keys, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(bins.populations)])
     chosen: List[np.ndarray] = []
     for b in np.flatnonzero(counts > 0):
         members = order[starts[b] : starts[b + 1]]

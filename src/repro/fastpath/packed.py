@@ -11,6 +11,7 @@ ensemble into one set of contiguous node arrays
     value     float64(n_nodes, C) leaf class distribution, already scattered
                                   into the ensemble's full class space
     roots     int64  (n_trees,)   node id of each tree's root
+    depth     int64  (n_trees,)   depth of each tree
 
 Nodes are renumbered level-by-level at pack time so each internal node's
 children sit at consecutive ids: one traversal step is a single child
@@ -19,14 +20,22 @@ and a select. All index arrays are int64 — numpy silently *copies* narrower
 index arrays to ``intp`` on every fancy-indexing call, which erases any
 cache win from smaller dtypes.
 
-Evaluation is level-synchronous with active-lane compaction and picks its
-shape by size: small batches fuse all trees into one ``(tree, row)`` lane
-vector (python-call overhead is paid per *level*, the serving-latency
-regime), large batches walk tree-segmented lanes (row-sorted gathers, the
-bulk-throughput regime).
+Evaluation is level-synchronous and picks its shape by size. Small
+batches fuse all trees into one ``(tree, row)`` lane vector and compact
+finished lanes every level (python-call overhead is paid per *level*, the
+serving-latency regime). Large batches walk one tree at a time over
+cache-sized row chunks (the bulk-throughput regime) and let leaves loop on
+themselves: at pack time every leaf gets step feature 0 and step left
+``leaf - 1``, and the key at a leaf is one no comparison satisfies (NaN
+among float thresholds, ``iinfo.min`` among integer code cuts), so a
+finished lane goes "right" back to its leaf. Lanes then step with no
+per-level bookkeeping; finished lanes are dropped only every
+:data:`_COMPACT_LEVELS` levels, and each step gathers the lane's value
+with a 1-D ``take`` on the row-major chunk.
 
 Bit-identity: routing uses the same ``x < threshold`` comparisons as
-:meth:`repro.tree.Tree.apply` (NaN falls right in both), leaf lookup is
+:meth:`repro.tree.Tree.apply` (NaN falls right in both, and a NaN row
+reaching a leaf self-loops like any other), leaf lookup is
 arithmetic-free, and :meth:`PackedForest.proba_from_leaves` replays the
 chunked accumulation order of :func:`repro.parallel.ensemble_predict_proba`
 exactly — trees summed sequentially inside fixed blocks of
@@ -59,8 +68,12 @@ ESTIMATOR_BLOCK = 8
 #: tree-segmented kernel wins (sequential row gathers).
 _FUSED_LANES = 1 << 15
 
-#: Row chunk of the segmented kernel — bounds lane-state memory at huge n.
-_SEGMENT_ROWS = 1 << 20
+#: Row chunk of the segmented kernel, sized so a chunk's lane state stays
+#: cache-resident.
+_SEGMENT_ROWS = 1 << 15
+
+#: Levels the segmented kernel steps between compactions of its lanes.
+_COMPACT_LEVELS = 6
 
 _LEAF = -1
 
@@ -81,16 +94,18 @@ def trees_of(estimators: Sequence) -> Optional[List[Tree]]:
 def _level_order_adjacent(tree: Tree):
     """Breadth-first node order with sibling-adjacent children.
 
-    Returns ``(order, new_id)`` — new→old and old→new id maps. Built one
-    level at a time with vectorised interleaving, so the python cost is
-    O(depth), not O(nodes).
+    Returns ``(order, new_id, depth)`` — new→old and old→new id maps and
+    the tree's depth. Built one level at a time with vectorised
+    interleaving, so the python cost is O(depth), not O(nodes).
     """
     n = tree.node_count
     order = np.empty(n, dtype=np.int64)
     new_id = np.empty(n, dtype=np.int64)
     level = np.zeros(1, dtype=np.int64)  # old ids of the current level
     filled = 0
+    depth = -1
     while level.size:
+        depth += 1
         order[filled : filled + level.size] = level
         new_id[level] = np.arange(filled, filled + level.size)
         filled += level.size
@@ -99,7 +114,7 @@ def _level_order_adjacent(tree: Tree):
         nxt[0::2] = tree.children_left[internal]
         nxt[1::2] = tree.children_right[internal]
         level = nxt
-    return order, new_id
+    return order, new_id, depth
 
 
 class PackedForest:
@@ -112,6 +127,7 @@ class PackedForest:
         left: np.ndarray,
         value: np.ndarray,
         roots: np.ndarray,
+        depth: np.ndarray,
         n_features: int,
     ):
         self.feature = feature
@@ -119,7 +135,15 @@ class PackedForest:
         self.left = left
         self.value = value
         self.roots = roots
+        self.depth = depth
         self.n_features = n_features
+        # Self-looping leaves for the segmented kernel (module docstring).
+        self._is_leaf = feature == _LEAF
+        self._step_feature = np.where(self._is_leaf, 0, feature)
+        self._step_left = np.where(
+            self._is_leaf, np.arange(len(feature), dtype=np.int64) - 1, left
+        )
+        self._leaf_keyed_threshold = np.where(self._is_leaf, np.nan, threshold)
 
     @property
     def n_trees(self) -> int:
@@ -152,8 +176,9 @@ class PackedForest:
         threshold = np.empty(total, dtype=np.float64)
         left = np.full(total, _LEAF, dtype=np.int64)
         value = np.zeros((total, n_classes), dtype=np.float64)
+        depth = np.empty(len(trees), dtype=np.int64)
         for t, (tree, off) in enumerate(zip(trees, offsets)):
-            order, new_id = _level_order_adjacent(tree)
+            order, new_id, depth[t] = _level_order_adjacent(tree)
             hi = off + tree.node_count
             feature[off:hi] = tree.feature[order]
             threshold[off:hi] = tree.threshold[order]
@@ -162,7 +187,7 @@ class PackedForest:
             cols = np.asarray(column_maps[t], dtype=np.int64)
             value[off:hi, cols] = tree.value[order]
         return cls(feature, threshold, left, value, roots=offsets,
-                   n_features=n_features)
+                   depth=depth, n_features=n_features)
 
     @classmethod
     def from_estimators(cls, estimators: Sequence, classes: np.ndarray):
@@ -192,7 +217,8 @@ class PackedForest:
         """Leaf node id of every row in every tree: ``(n_trees, n)`` int64.
 
         A lane goes left exactly when ``matrix[row, feature] < keys[node]``
-        (``keys`` = thresholds for raw floats, code cuts for coded rows).
+        (``keys`` = thresholds for raw floats, code cuts for coded rows;
+        at a leaf, a key no value is below).
         """
         n = matrix.shape[0]
         feature, left, roots = self.feature, self.left, self.roots
@@ -208,36 +234,43 @@ class PackedForest:
                 node[active] = nxt
                 active = active[feature[nxt] != _LEAF]
             return node.reshape(self.n_trees, n)
-        # Segmented: one tree at a time over row chunks — row indices stay
-        # sorted, so the per-level gathers stream through the matrix.
+        # Segmented: one tree at a time over row chunks, leaves looping on
+        # themselves so lanes are compacted every few levels, not every one.
+        matrix = np.ascontiguousarray(matrix)
+        n_cols = matrix.shape[1]
+        step_feature, step_left = self._step_feature, self._step_left
         out = np.empty((self.n_trees, n), dtype=np.int64)
         for t in range(self.n_trees):
-            root = roots[t]
+            levels = min(_COMPACT_LEVELS, int(self.depth[t]))
             for lo in range(0, n, _SEGMENT_ROWS):
                 hi = min(lo + _SEGMENT_ROWS, n)
-                chunk = matrix[lo:hi]
-                node = np.full(hi - lo, root, dtype=np.int64)
-                if feature[root] != _LEAF:
-                    active = np.arange(hi - lo, dtype=np.int64)
-                    while active.size:
-                        cur = node[active]
-                        go_left = chunk[active, feature[cur]] < keys[cur]
-                        nxt = left[cur] + ~go_left
-                        node[active] = nxt
-                        active = active[feature[nxt] != _LEAF]
-                out[t, lo:hi] = node
+                flat = matrix[lo:hi].ravel()
+                lane = np.arange(hi - lo, dtype=np.int64)
+                offset = lane * n_cols
+                node = np.full(hi - lo, roots[t], dtype=np.int64)
+                dest = out[t, lo:hi]
+                while node.size:
+                    for _ in range(levels):
+                        x = np.take(flat, offset + np.take(step_feature, node))
+                        node = np.take(step_left, node) + ~(x < np.take(keys, node))
+                    done = self._is_leaf[node]
+                    dest[lane[done]] = node[done]
+                    live = ~done
+                    node, lane, offset = node[live], lane[live], offset[live]
         return out
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id (packed space) of every row in every tree; routing
         decisions are the exact comparisons of :meth:`Tree.apply`."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        return self._route(X, self.threshold)
+        return self._route(X, self._leaf_keyed_threshold)
 
     def apply_codes(self, codes: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         """Leaf ids over a pre-coded matrix: lane goes left when
-        ``codes[row, feature] < cuts[node]``."""
-        return self._route(codes, cuts)
+        ``codes[row, feature] < cuts[node]`` (integer cuts; leaf entries
+        are ignored)."""
+        never = np.iinfo(cuts.dtype).min
+        return self._route(codes, np.where(self._is_leaf, never, cuts))
 
     # ------------------------------------------------------------------ #
     def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
@@ -249,7 +282,7 @@ class PackedForest:
         for blk_start in range(0, self.n_trees, ESTIMATOR_BLOCK):
             part = np.zeros((n, self.n_classes))
             for t in range(blk_start, min(blk_start + ESTIMATOR_BLOCK, self.n_trees)):
-                part += self.value[leaves[t]]
+                part += np.take(self.value, leaves[t], axis=0)
             partials.append(part)
         total = partials[0]
         for extra in partials[1:]:

@@ -108,8 +108,8 @@ def _packed_proba(
     Non-finite rows are declined up front: the chunked path rejects them
     through each member's ``check_array`` (NaN would otherwise silently
     route right), and the two paths must disagree on nothing — not even
-    error behaviour."""
-    if not np.isfinite(X).all():
+    error behaviour. The same goes for input that is not a 2-D matrix."""
+    if X.ndim != 2 or not np.isfinite(X).all():
         return None
     entry = cached_packed_ensemble(estimators, classes)
     if entry is None:

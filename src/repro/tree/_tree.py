@@ -333,12 +333,22 @@ def _grow_level_synchronous(
     Per level, one ``bincount`` over ``(node, feature, bin, class)`` builds
     every node's split histograms at once and one :func:`split_gain` call
     scores every candidate of every node, so python/numpy dispatch cost is
-    paid per level instead of per node. Bit-identity with the stack
-    builder: rows keep ascending order inside each node (never re-sorted),
-    so histogram cells accumulate identical float sequences; the gain
-    formulas are evaluated row-wise (same elementwise ops); the per-node
-    row-major argmax reproduces the earliest-feature/lowest-code
-    tie-breaking; and the final preorder renumbering yields the same node
+    paid per level instead of per node.
+
+    The split search is sparse: a code is scored only where its bin holds
+    rows of that node (on a 160k-row checkerboard tree, 32k of the 897k
+    dense ``(node, feature, code)`` candidates), and each node takes
+    the *first* maximum of a segmented argmax over its candidates in
+    row-major ``(feature, code)`` order. This is exact: a code on an empty
+    bin repeats the partition — hence every gain bit — of the last
+    non-empty code below it, which comes first in that order, so the
+    earliest-feature/lowest-code tie-break of the dense search is kept.
+
+    Bit-identity with the stack builder: rows keep ascending order inside
+    each node (never re-sorted), so histogram cells accumulate identical
+    float sequences; the gain formulas are evaluated row-wise (same
+    elementwise ops); the tie-break above matches the stack builder's
+    flat argmax; and the final preorder renumbering yields the same node
     ids the depth-first stack would have assigned.
     """
     n_rows, n_features = X_binned.shape
@@ -358,7 +368,10 @@ def _grow_level_synchronous(
     n_slots = 1
     level_parents: List[Tuple[int, bool]] = [(_LEAF, False)]
     depth = 0
-    feat_range = np.arange(F, dtype=np.int64)
+    # Per-row histogram offsets ``(f * B + code) * C``: a level's cell
+    # indices are one row gather plus the node and class terms.
+    row_offsets = (X_binned + np.arange(F, dtype=np.int64) * B) * C
+    codes_flat = np.ascontiguousarray(X_binned).ravel()
 
     # Per-level stage timing: the watch is observed at the top of the
     # next level (and once after the loop), so every exit path — normal
@@ -412,50 +425,65 @@ def _grow_level_synchronous(
         keep = can_split[slots]
         r = rows[keep]
         s_old = slots[keep]
-        remap = np.full(S, _LEAF, dtype=np.int64)
-        remap[eligible] = np.arange(eligible.size)
-        s_e = remap[s_old]
         E = eligible.size
-        # One histogram over every (node, feature, bin, class) cell.
-        idx = (s_e[:, None] * F + feat_range) * B
-        idx += X_binned[r]
-        idx *= C
-        idx += y_lvl[keep][:, None]
+        remap = np.full(S, _LEAF, dtype=np.int64)
+        remap[eligible] = np.arange(E)
+        # One histogram over every (node, feature, bin, class) cell; cell
+        # ``(e * F + f) * B + b`` holds node e's rows with code b on f.
+        idx = np.take(row_offsets, r, axis=0)
+        idx += (remap[s_old] * (F * B * C) + y_lvl[keep])[:, None]
         idx = idx.ravel()
-        total_cells = E * F * B * C
-        counts = np.bincount(idx, minlength=total_cells)
+        n_cells = E * F * B
+        counts = np.bincount(idx, minlength=n_cells * C).reshape(n_cells, C)
         if uniform_weight:
             weighted = counts.astype(np.float64)
         else:
             weighted = np.bincount(
                 idx, weights=np.repeat(sample_weight[r], F),
-                minlength=total_cells,
-            )
-        shape = (E, F, B, C)
-        weighted = weighted.reshape(shape)
-        counts = counts.reshape(shape)
-        left_w = weighted.cumsum(axis=2)[:, :, :-1, :]
-        right_w = class_w[eligible][:, None, None, :] - left_w
+                minlength=n_cells * C,
+            ).reshape(n_cells, C)
+        # Rows per cell, summed class by class: np.add.reduce over the short
+        # class axis is an order of magnitude slower.
+        n_cell = counts[:, 0].copy()
+        for c in range(1, C):
+            n_cell += counts[:, c]
+        n_cell = n_cell.reshape(E * F, B)
+        # Sparse candidates: code b is scored only when bin b holds rows of
+        # the node (and b is not the top bin, which puts every row left).
+        occupied = n_cell > 0
+        occupied[:, -1] = False
+        cand = np.flatnonzero(occupied)
+        if cand.size == 0:
+            break
+        left_w = weighted.reshape(E * F, B, C).cumsum(axis=1).reshape(n_cells, C)[cand]
+        n_left = n_cell.cumsum(axis=1).ravel()[cand]
+        e_of = cand // (F * B)
         gains = split_gain(
-            left_w.reshape(-1, C),
-            right_w.reshape(-1, C),
-            np.repeat(imp[eligible], F * (B - 1)),
+            left_w,
+            class_w[eligible][e_of] - left_w,
+            imp[eligible][e_of],
             criterion,
         )
-        gains = gains.reshape(E, F * (B - 1))
-        n_left = np.add.reduce(counts, axis=3).cumsum(axis=2)[:, :, :-1]
-        n_left = n_left.reshape(E, F * (B - 1))
-        n_right = m_slot[eligible][:, None] - n_left
+        n_right = m_slot[eligible][e_of] - n_left
         gains[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
-        best_flat = gains.argmax(axis=1)
-        best_gain = gains[np.arange(E), best_flat]
+        # Segmented argmax taking each node's *first* maximum; candidates
+        # are in (node, feature, code) row-major order.
+        n_cand = np.bincount(e_of, minlength=E)
+        has = n_cand > 0
+        best_gain = np.full(E, -np.inf)
+        best_gain[has] = np.maximum.reduceat(gains, (np.cumsum(n_cand) - n_cand)[has])
+        hit = np.flatnonzero(gains == best_gain[e_of])
+        hit_node = e_of[hit]
+        first = hit[np.concatenate(([True], hit_node[1:] != hit_node[:-1]))]
+        best_cell = np.zeros(E, dtype=np.int64)
+        best_cell[e_of[first]] = cand[first]
         ok = best_gain > min_impurity_decrease + 1e-12
 
         split_slots = eligible[ok]
         if split_slots.size == 0:
             break
-        best_feature = best_flat[ok] // (B - 1)
-        best_code = best_flat[ok] % (B - 1)
+        best_feature = best_cell[ok] // B % F
+        best_code = best_cell[ok] % B
         bfeat_of = np.zeros(S, dtype=np.int64)
         bcode_of = np.zeros(S, dtype=np.int64)
         bfeat_of[split_slots] = best_feature
@@ -477,7 +505,7 @@ def _grow_level_synchronous(
         s_old2 = s_old[keep2]
         pair = np.full(S, _LEAF, dtype=np.int64)
         pair[split_slots] = np.arange(split_slots.size)
-        go_left = X_binned[rows, bfeat_of[s_old2]] <= bcode_of[s_old2]
+        go_left = np.take(codes_flat, rows * F + bfeat_of[s_old2]) <= bcode_of[s_old2]
         slots = 2 * pair[s_old2] + ~go_left
         level_parents = next_parents
         n_slots = 2 * split_slots.size

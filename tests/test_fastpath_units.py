@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_paced_bin_weights
 from repro.core.self_paced import self_paced_under_sample
-from repro.fastpath import BinnedSubset, PackedForest, SharedBinContext
+from repro.fastpath import BinnedSubset, CodeTable, PackedForest, SharedBinContext
 from repro.parallel import ensemble_predict_proba
 from repro.parallel.executor import parallel_map
 from repro.parallel.inference import _SHARED_PAYLOADS
@@ -34,17 +34,27 @@ def _reference_under_sample(hardness, k_bins, alpha, n_samples, rng):
     return np.concatenate(chosen), bins
 
 
+#: (seed, alpha, k_bins) cases; the 20-bin cases keep their short ids.
+#: 255/256 and 300 bins straddle the uint8 / uint16 sort-key boundary.
+_UNDER_SAMPLE_CASES = [
+    pytest.param(seed, alpha, k_bins,
+                 id=f"{seed}-{alpha}" + ("" if k_bins == 20 else f"-k{k_bins}"))
+    for k_bins in (20, 1, 255, 256, 300)
+    for alpha in (0.0, 0.3, 5.0, 1e16)
+    for seed in (0, 7, 123)
+]
+
+
 class TestVectorisedUnderSample:
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 5.0, 1e16])
-    @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_bit_identical_to_per_bin_scan(self, alpha, seed):
+    @pytest.mark.parametrize("seed,alpha,k_bins", _UNDER_SAMPLE_CASES)
+    def test_bit_identical_to_per_bin_scan(self, seed, alpha, k_bins):
         rng = np.random.RandomState(seed)
         hardness = rng.rand(5000)
         got, _ = self_paced_under_sample(
-            hardness, 20, alpha, 400, np.random.RandomState(seed)
+            hardness, k_bins, alpha, 400, np.random.RandomState(seed)
         )
         want, _ = _reference_under_sample(
-            hardness, 20, alpha, 400, np.random.RandomState(seed)
+            hardness, k_bins, alpha, 400, np.random.RandomState(seed)
         )
         assert np.array_equal(got, want)
 
@@ -91,28 +101,80 @@ class TestFeatureBinnerCaching:
 
 
 # --------------------------------------------------------------------- #
+def _builder_inputs():
+    """(name, X, y, n_classes, max_bins, tree kwargs) inputs on which the
+    level builder must reproduce the depth-first builder."""
+    rng = np.random.RandomState(0)
+    base = dict(max_depth=6, min_samples_split=4, min_samples_leaf=2,
+                min_impurity_decrease=0.0)
+    X = rng.randn(300, 4)
+    yield "gaussian", X, rng.randint(0, 3, 300), 3, 16, base
+    # Heavy ties: 64 bins per feature, but nearly every row on one of four
+    # values, so most (node, feature, bin) cells are empty and most dense
+    # candidates repeat a lower code's partition.
+    p = np.full(64, 0.3 / 60)
+    p[[5, 20, 40, 63]] = 0.7 / 4
+    X = rng.choice(64, size=(600, 3), p=p).astype(float)
+    y = ((X[:, 0] > 20) ^ (X[:, 1] > 30) ^ (rng.rand(600) < 0.1)).astype(int)
+    yield "ties", X, y, 2, 64, dict(base, max_depth=None)
+    # Impure rows sitting in the top bin of every feature: once split off,
+    # their node has no candidate at all and must stay a leaf.
+    X = rng.randint(0, 3, (300, 2)).astype(float)
+    X[:60] = 2.0
+    y = np.where(np.arange(300) < 60, np.arange(300) % 2, X[:, 0] > 0).astype(int)
+    yield "top_bin", X, y, 2, 64, dict(base, max_depth=None, min_samples_leaf=1)
+    # Unequal n_bins_: 64 bins beside 3 and 2, so the narrow features carry
+    # phantom bins in the padded layout.
+    X = np.column_stack([rng.randn(400), rng.randint(0, 3, 400),
+                         rng.randint(0, 2, 400)]).astype(float)
+    y = ((X[:, 0] > 0.3) ^ (X[:, 1] == 1)).astype(int)
+    yield "unequal_bins", X, y, 2, 64, dict(base, max_depth=None)
+    X = rng.randn(500, 3)
+    y = (X[:, 0] + 0.5 * X[:, 2] + 0.5 * rng.randn(500) > 0).astype(int)
+    yield "min_leaf_and_decrease", X, y, 2, 32, dict(
+        max_depth=None, min_samples_split=2, min_samples_leaf=7,
+        min_impurity_decrease=0.01,
+    )
+    # A duplicated column: every split ties across features 0 and 1.
+    x = rng.randn(300)
+    X = np.column_stack([x, x, rng.randn(300)])
+    y = (x + 0.5 * rng.randn(300) > 0).astype(int)
+    yield "equal_gains", X, y, 2, 16, dict(base, max_depth=None)
+
+
 class TestLevelSynchronousBuilder:
     @pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bit_identical_to_depth_first(self, criterion, weighted):
-        rng = np.random.RandomState(0)
-        X = rng.randn(300, 4)
-        y = rng.randint(0, 3, 300)
-        w = rng.rand(300) if weighted else np.ones(300)
-        binner = FeatureBinner(max_bins=16).fit(X)
-        Xb = binner.transform(X)
-        kwargs = dict(n_classes=3, criterion=criterion, max_depth=6,
-                      min_samples_split=4, min_samples_leaf=2,
-                      min_impurity_decrease=0.0)
-        level = build_tree(Xb, y, w, binner, **kwargs)
-        depth_first = _grow_depth_first(
-            Xb, y, w, binner, 3, criterion, 6, 4, 2, 0.0,
-            bool(np.all(w == 1.0)), np.asarray(binner.n_bins_),
-            max_features=None, random_state=None,
-        )
-        for attr in ("feature", "threshold", "children_left", "children_right",
-                     "value", "n_node_samples", "impurity"):
-            assert np.array_equal(getattr(level, attr), getattr(depth_first, attr)), attr
+        for name, X, y, n_classes, max_bins, kwargs in _builder_inputs():
+            w = (np.random.RandomState(1).rand(len(y)) if weighted
+                 else np.ones(len(y)))
+            binner = FeatureBinner(max_bins=max_bins).fit(X)
+            Xb = binner.transform(X)
+            level = build_tree(Xb, y, w, binner, n_classes=n_classes,
+                               criterion=criterion, **kwargs)
+            max_depth = kwargs["max_depth"]
+            depth_first = _grow_depth_first(
+                Xb, y, w, binner, n_classes, criterion,
+                np.inf if max_depth is None else max_depth,
+                kwargs["min_samples_split"], kwargs["min_samples_leaf"],
+                kwargs["min_impurity_decrease"], bool(np.all(w == 1.0)),
+                np.asarray(binner.n_bins_), max_features=None,
+                random_state=None,
+            )
+            for attr in ("feature", "threshold", "children_left",
+                         "children_right", "value", "n_node_samples",
+                         "impurity"):
+                assert np.array_equal(getattr(level, attr),
+                                      getattr(depth_first, attr)), (name, attr)
+            assert level.node_count > 1, name
+            if name == "equal_gains":
+                # Ties go to the earliest feature.
+                assert not np.any(level.feature == 1)
+            if name == "top_bin":
+                # The all-top-bin rows end in an impure leaf.
+                leaf = level.apply(X[:1])[0]
+                assert level.feature[leaf] == -1 and level.impurity[leaf] > 0
 
     def test_many_class_gini_still_levelwise_identical(self):
         """Gini impurity has no nonzero-compaction, so the level builder
@@ -243,25 +305,67 @@ class TestPackedKernel:
             # must agree with the per-tree evaluation exactly
             assert np.array_equal(forest.value[leaves[t]], est.predict_proba(X))
 
-    def test_fused_and_segmented_agree(self, rng):
+    def test_fused_and_segmented_agree(self, rng, monkeypatch):
         """Small batches take the fused kernel, large the segmented one —
-        force both over the same rows and compare."""
+        force each shape over the same rows and check both against
+        ``Tree.apply``, on the raw-float and the integer-code routes."""
         import repro.fastpath.packed as packed_mod
+        from repro.fastpath.packed import _level_order_adjacent
 
-        X = rng.randn(2000, 2)
-        y = (X[:, 0] > 0).astype(int)
+        X = rng.randint(-30, 30, (2000, 2)).astype(float)
+        y = ((X[:, 0] > 0) ^ (rng.rand(2000) < 0.2)).astype(int)
         trees = [DecisionTreeClassifier(max_depth=6, random_state=s).fit(X, y)
-                 for s in range(4)]
+                 for s in range(2)]
+        # Deeper than the compaction interval, with ragged leaf depths.
+        trees.append(DecisionTreeClassifier(random_state=0).fit(X, y))
+        # Single-node tree (one class in its training labels).
+        trees.append(DecisionTreeClassifier().fit(X[:50], np.zeros(50, int)))
+        assert trees[3].tree_.node_count == 1
+        leaf_depths = _node_depths(trees[2].tree_)[trees[2].tree_.feature == -1]
+        assert leaf_depths.min() < packed_mod._COMPACT_LEVELS
+        assert leaf_depths.max() > 2 * packed_mod._COMPACT_LEVELS
         forest = PackedForest.from_estimators(trees, np.array([0, 1]))
-        original = packed_mod._FUSED_LANES
-        try:
-            packed_mod._FUSED_LANES = 1 << 30
-            fused = forest.apply(X)
-            packed_mod._FUSED_LANES = 0
-            segmented = forest.apply(X)
-        finally:
-            packed_mod._FUSED_LANES = original
-        assert np.array_equal(fused, segmented)
+
+        X_nan = X[:300].copy()
+        X_nan[::7, 0] = np.nan
+        X_nan[::11, 1] = np.nan
+        rows = np.vstack([X, X_nan])
+
+        def expected(Z):
+            out = []
+            for t, est in enumerate(trees):
+                _, new_id, _ = _level_order_adjacent(est.tree_)
+                out.append(forest.roots[t] + new_id[est.tree_.apply(Z)])
+            return np.array(out)
+
+        # Code route: values are integers, so x < t  <=>  x < ceil(t); the
+        # cuts' leaf entries are garbage the kernel must ignore.
+        codes = X.astype(np.int64)
+        cuts = np.ceil(forest.threshold).astype(np.int64)
+        cuts[forest.feature == -1] = 10 ** 6
+        want_rows, want_codes = expected(rows), expected(X)
+
+        # The trees' own binner: every threshold is one of its edges, so the
+        # forest compiles to a code table (through apply_codes).
+        binner = FeatureBinner().fit(X)
+        want_proba = ensemble_predict_proba(trees, X, np.array([0, 1]),
+                                            packed="never")
+
+        monkeypatch.setattr(packed_mod, "_SEGMENT_ROWS", 256)  # ragged chunks
+        for fused_lanes in (1 << 30, 0):
+            monkeypatch.setattr(packed_mod, "_FUSED_LANES", fused_lanes)
+            assert np.array_equal(forest.apply(rows), want_rows), fused_lanes
+            assert np.array_equal(forest.apply_codes(codes, cuts), want_codes)
+            table = CodeTable.maybe_build(forest, binner)
+            assert np.array_equal(table.predict_proba(X), want_proba)
+
+
+def _node_depths(tree):
+    """Depth of every node of a :class:`Tree` (ids are preorder)."""
+    depth = np.zeros(tree.node_count, dtype=int)
+    for i in np.flatnonzero(tree.feature != -1):
+        depth[tree.children_left[i]] = depth[tree.children_right[i]] = depth[i] + 1
+    return depth
 
 
 # --------------------------------------------------------------------- #
@@ -332,6 +436,20 @@ class TestInferencePayloads:
             with pytest.raises(DataValidationError):
                 ensemble_predict_proba(
                     [tree], X_bad, np.array([0, 1]), packed=packed
+                )
+
+    @pytest.mark.parametrize("shape", [(50,), (2, 50, 2)])
+    def test_packed_path_rejects_non_matrix_like_chunked(self, rng, shape):
+        """1-D and 3-D input raise the same typed error on both paths."""
+        from repro.exceptions import DataValidationError
+
+        X = rng.randn(50, 2)
+        tree = DecisionTreeClassifier(max_depth=2).fit(X, X[:, 0] > 0)
+        for packed in ("auto", "never"):
+            with pytest.raises(DataValidationError):
+                ensemble_predict_proba(
+                    [tree], rng.randn(*shape), np.array([False, True]),
+                    packed=packed,
                 )
 
     def test_pack_cache_entries_die_with_the_ensemble(self, rng):
