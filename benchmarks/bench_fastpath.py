@@ -38,6 +38,7 @@ from repro.core.self_paced import InMemoryMajorityAccess
 from repro.datasets import make_checkerboard
 from repro.parallel import ensemble_predict_proba
 from repro.tree import DecisionTreeClassifier
+from repro.utils.kernel_pool import available_cpus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 ARTIFACT = REPO_ROOT / "BENCH_fastpath.json"
@@ -178,6 +179,7 @@ def run_fastpath_bench(scale: float) -> dict:
             "min_speedup_asserted": MIN_SPEEDUP,
         },
         "cpu_count": os.cpu_count(),
+        "kernel_workers": available_cpus(),
         "results": results,
         "headline": {
             "spe_fit_speedup": results["fit"]["speedup"],

@@ -22,6 +22,7 @@ from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_checkerboard
 from repro.ensemble import BaggingClassifier
 from repro.tree import DecisionTreeClassifier
+from repro.utils.kernel_pool import available_cpus
 from repro.utils.timing import timed_call
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -87,6 +88,7 @@ def run_scaling(scale: float) -> dict:
             "n_features": int(X_train.shape[1]),
         },
         "cpu_count": os.cpu_count(),
+        "kernel_workers": available_cpus(),
         "n_jobs_grid": list(N_JOBS_GRID),
         "results": results,
     }

@@ -48,6 +48,7 @@ from repro.persistence import load_model, save_model
 from repro.serving import ModelServer, WorkerPool
 
 from repro.tree import DecisionTreeClassifier
+from repro.utils.kernel_pool import available_cpus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 ARTIFACT = REPO_ROOT / "BENCH_serving.json"
@@ -109,13 +110,6 @@ def _bench_variant(name, clf, X_serve, tmp_dir, requests_per_batch):
 # --------------------------------------------------------------------- #
 # fleet phases (WorkerPool serving plane)
 # --------------------------------------------------------------------- #
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def _fit_fleet_model(scale: float):
     """A deliberately *large* SPE whose artifact dwarfs per-worker churn.
 
@@ -167,7 +161,7 @@ def _fleet_throughput(path, X_serve, n_requests):
     for row in curve:
         row["speedup_vs_1"] = round(row["rows_per_s"] / base, 2)
     achieved = curve[-1]["speedup_vs_1"]
-    cores = _usable_cores()
+    cores = available_cpus()
     assertable = cores >= max(FLEET_WORKERS)
     if assertable:
         assert achieved >= SPEEDUP_FLOOR_AT_4, (
@@ -382,6 +376,7 @@ def run_serving_bench(scale: float) -> dict:
             "batch_sizes": list(BATCH_SIZES),
         },
         "cpu_count": os.cpu_count(),
+        "kernel_workers": available_cpus(),
         "results": results,
         "fleet": fleet,
         "headline": {

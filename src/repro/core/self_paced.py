@@ -254,9 +254,11 @@ class SelfPacedEnsembleClassifier(
         Workers for the chunked scoring path (per-iteration majority
         re-scoring and ``predict_proba``); ``None``/1 serial, ``-1`` all
         CPUs. Only non-tree members take that path: tree members are scored
-        by the packed kernel in-process, so ``n_jobs`` does not affect them.
-        Training stays iteration-sequential (Algorithm 1 is a cascade), so
-        results are identical for every ``n_jobs``.
+        by the packed kernel, which spreads large batches over the process's
+        CPUs by itself (:mod:`repro.utils.kernel_pool`) and returns the same
+        output at any width, so ``n_jobs`` does not affect them. Training
+        stays iteration-sequential (Algorithm 1 is a cascade), so results
+        are identical for every ``n_jobs``.
     backend : {"serial", "thread", "process"}, default "thread"
         Executor used by the scoring paths (see :mod:`repro.parallel`).
     chunk_size : int, optional

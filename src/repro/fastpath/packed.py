@@ -24,14 +24,18 @@ Evaluation is level-synchronous and picks its shape by size. Small
 batches fuse all trees into one ``(tree, row)`` lane vector and compact
 finished lanes every level (python-call overhead is paid per *level*, the
 serving-latency regime). Large batches walk one tree at a time over
-cache-sized row chunks (the bulk-throughput regime) and let leaves loop on
-themselves: at pack time every leaf gets step feature 0 and step left
-``leaf - 1``, and the key at a leaf is one no comparison satisfies (NaN
-among float thresholds, ``iinfo.min`` among integer code cuts), so a
-finished lane goes "right" back to its leaf. Lanes then step with no
-per-level bookkeeping; finished lanes are dropped only every
-:data:`_COMPACT_LEVELS` levels, and each step gathers the lane's value
-with a 1-D ``take`` on the row-major chunk.
+cache-sized row chunks (the bulk-throughput regime). Each (tree, row chunk)
+pair is an independent job writing its own slice of the output, so the
+jobs run on every CPU through :func:`repro.utils.kernel_pool.kernel_map`;
+rows are split evenly, and into at least as many jobs as the pool has
+threads. The segmented walk lets leaves loop on themselves: at pack time
+every leaf gets step feature 0 and step left ``leaf - 1``, and the key at
+a leaf is one no comparison satisfies (NaN among float thresholds,
+``iinfo.min`` among integer code cuts), so a finished lane goes "right"
+back to its leaf. Lanes then step with no per-level bookkeeping;
+finished lanes are dropped only every :data:`_COMPACT_LEVELS` levels, and
+each step gathers the lane's value with a 1-D ``take`` on the row-major
+chunk.
 
 Bit-identity: routing uses the same ``x < threshold`` comparisons as
 :meth:`repro.tree.Tree.apply` (NaN falls right in both, and a NaN row
@@ -55,6 +59,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..tree._tree import Tree
+from ..utils.kernel_pool import available_cpus, kernel_map
 
 __all__ = ["ESTIMATOR_BLOCK", "PackedForest", "trees_of"]
 
@@ -76,6 +81,16 @@ _SEGMENT_ROWS = 1 << 15
 _COMPACT_LEVELS = 6
 
 _LEAF = -1
+
+
+def _row_step(n: int, n_trees: int) -> int:
+    """Rows per segmented job: at most :data:`_SEGMENT_ROWS`, split evenly,
+    and with enough chunks per tree that a forest of fewer trees than
+    kernel-pool threads still gives every thread an equal share."""
+    per_tree = -(-available_cpus() // n_trees)
+    chunks = -(-n // _SEGMENT_ROWS)
+    chunks = min(n, -(-chunks // per_tree) * per_tree)
+    return -(-n // chunks)
 
 
 def trees_of(estimators: Sequence) -> Optional[List[Tree]]:
@@ -234,30 +249,38 @@ class PackedForest:
                 node[active] = nxt
                 active = active[feature[nxt] != _LEAF]
             return node.reshape(self.n_trees, n)
-        # Segmented: one tree at a time over row chunks, leaves looping on
+        # Segmented: one (tree, row chunk) job at a time, leaves looping on
         # themselves so lanes are compacted every few levels, not every one.
+        # Jobs write disjoint slices of ``out`` and run on the kernel pool.
         matrix = np.ascontiguousarray(matrix)
-        n_cols = matrix.shape[1]
-        step_feature, step_left = self._step_feature, self._step_left
         out = np.empty((self.n_trees, n), dtype=np.int64)
-        for t in range(self.n_trees):
-            levels = min(_COMPACT_LEVELS, int(self.depth[t]))
-            for lo in range(0, n, _SEGMENT_ROWS):
-                hi = min(lo + _SEGMENT_ROWS, n)
-                flat = matrix[lo:hi].ravel()
-                lane = np.arange(hi - lo, dtype=np.int64)
-                offset = lane * n_cols
-                node = np.full(hi - lo, roots[t], dtype=np.int64)
-                dest = out[t, lo:hi]
-                while node.size:
-                    for _ in range(levels):
-                        x = np.take(flat, offset + np.take(step_feature, node))
-                        node = np.take(step_left, node) + ~(x < np.take(keys, node))
-                    done = self._is_leaf[node]
-                    dest[lane[done]] = node[done]
-                    live = ~done
-                    node, lane, offset = node[live], lane[live], offset[live]
+        step = _row_step(n, self.n_trees)
+        jobs = [
+            (t, lo, min(lo + step, n))
+            for t in range(self.n_trees)
+            for lo in range(0, n, step)
+        ]
+        kernel_map(lambda job: self._walk(matrix, keys, out, *job), jobs)
         return out
+
+    def _walk(self, matrix, keys, out, t: int, lo: int, hi: int) -> None:
+        """Segmented kernel: route rows ``lo:hi`` through tree ``t`` into
+        ``out[t, lo:hi]``."""
+        step_feature, step_left = self._step_feature, self._step_left
+        levels = min(_COMPACT_LEVELS, int(self.depth[t]))
+        flat = matrix[lo:hi].ravel()
+        lane = np.arange(hi - lo, dtype=np.int64)
+        offset = lane * matrix.shape[1]
+        node = np.full(hi - lo, self.roots[t], dtype=np.int64)
+        dest = out[t, lo:hi]
+        while node.size:
+            for _ in range(levels):
+                x = np.take(flat, offset + np.take(step_feature, node))
+                node = np.take(step_left, node) + ~(x < np.take(keys, node))
+            done = self._is_leaf[node]
+            dest[lane[done]] = node[done]
+            live = ~done
+            node, lane, offset = node[live], lane[live], offset[live]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id (packed space) of every row in every tree; routing

@@ -23,9 +23,10 @@ always run in task order. Under that contract every backend and every
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence
+
+from ..utils.kernel_pool import available_cpus
 
 __all__ = ["BACKENDS", "resolve_n_jobs", "parallel_map"]
 
@@ -37,8 +38,10 @@ def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
     """Turn an ``n_jobs`` hyper-parameter into a concrete worker count.
 
     ``None`` means 1 (no parallelism); positive integers pass through;
-    negative integers count back from the CPU count the way joblib does
-    (``-1`` → all CPUs, ``-2`` → all but one, never below 1).
+    negative integers count back from the CPUs this process may run on
+    (its affinity mask, :func:`~repro.utils.kernel_pool.available_cpus`)
+    the way joblib does (``-1`` → all of them, ``-2`` → all but one, never
+    below 1).
     """
     if n_jobs is None:
         return 1
@@ -46,7 +49,7 @@ def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
     if n_jobs == 0:
         raise ValueError("n_jobs == 0 has no meaning; use 1, a positive int, or -1")
     if n_jobs < 0:
-        return max(1, (os.cpu_count() or 1) + 1 + n_jobs)
+        return max(1, available_cpus() + 1 + n_jobs)
     return n_jobs
 
 

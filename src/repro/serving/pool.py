@@ -55,8 +55,14 @@
   fleet is back at full, responsive capacity.
 
 The pool requires the ``fork`` start method (Linux/macOS): zero-copy
-inheritance of the pre-built kernel is the point. Construct it before
-starting heavy threads in the parent, as with any fork.
+inheritance of the pre-built kernel is the point. The one thread pool the
+library itself starts, the kernel pool of :mod:`repro.utils.kernel_pool`
+behind bulk scoring and binning, is fork-safe: a worker drops the parent's
+copy at fork and builds its own on its first large batch, so a parent that
+fitted or scored a model before constructing the pool is fine. Other
+threads of the parent (the application's own) are not copied into
+workers, so locks they hold at fork time stay held there, as with any
+fork.
 """
 
 from __future__ import annotations

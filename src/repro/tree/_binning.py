@@ -6,9 +6,44 @@ from typing import Tuple
 
 import numpy as np
 
+from ..utils.kernel_pool import kernel_map
 from ..utils.validation import check_array
 
 __all__ = ["FeatureBinner"]
+
+#: Rows from which ``fit`` and ``transform`` run one kernel-pool job per
+#: feature (the packed kernel's row chunk); below it, thread dispatch costs
+#: more than the columns take.
+_THREADED_ROWS = 1 << 15
+
+
+def _per_feature(X: np.ndarray, fn) -> list:
+    """``[fn(j) for each feature j]``, one kernel-pool job per feature once
+    ``X`` is tall enough to pay for the dispatch."""
+    features = range(X.shape[1])
+    if X.shape[0] < _THREADED_ROWS:
+        return [fn(j) for j in features]
+    return kernel_map(fn, features)
+
+
+def _column_edges(col: np.ndarray, max_bins: int, quantiles: np.ndarray) -> np.ndarray:
+    """Cut points of one feature, from one sort of the column.
+
+    Equal to ``np.unique(col)`` midpoints when the column has at most
+    ``max_bins`` distinct values, else ``np.unique(np.quantile(col,
+    quantiles))``: the distinct values are read off the sorted copy with
+    the adjacent-difference mask ``np.unique`` itself uses, and a quantile
+    of the sorted copy is the same order statistic of the column.
+    """
+    ordered = np.sort(col)
+    distinct = np.empty(ordered.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    unique = ordered[distinct]
+    if unique.size <= max_bins:
+        # Cut between consecutive distinct values: exact splits.
+        return (unique[:-1] + unique[1:]) / 2.0
+    return np.unique(np.quantile(ordered, quantiles))
 
 
 class FeatureBinner:
@@ -30,19 +65,11 @@ class FeatureBinner:
 
     def fit(self, X) -> "FeatureBinner":
         X = check_array(X)
-        edges_list = []
-        self.n_bins_ = np.empty(X.shape[1], dtype=np.int64)
         quantiles = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            unique = np.unique(col)
-            if unique.size <= self.max_bins:
-                # Cut between consecutive distinct values: exact splits.
-                edges = (unique[:-1] + unique[1:]) / 2.0
-            else:
-                edges = np.unique(np.quantile(col, quantiles))
-            edges_list.append(edges)
-            self.n_bins_[j] = edges.size + 1
+        edges_list = _per_feature(
+            X, lambda j: _column_edges(X[:, j], self.max_bins, quantiles)
+        )
+        self.n_bins_ = np.array([e.size + 1 for e in edges_list], dtype=np.int64)
         # Immutable tuple: the fitted cut points are shared freely (e.g. by
         # a SharedBinContext across many member trees) without defensive
         # copies, and accidental per-member mutation is impossible.
@@ -65,8 +92,11 @@ class FeatureBinner:
                 f"{self.n_features_}."
             )
         codes = np.empty(X.shape, dtype=np.int32)
-        for j, edges in enumerate(self.edges_):
-            codes[:, j] = np.searchsorted(edges, X[:, j], side="right")
+
+        def code_column(j):
+            codes[:, j] = np.searchsorted(self.edges_[j], X[:, j], side="right")
+
+        _per_feature(X, code_column)
         return codes
 
     def fit_transform(self, X) -> np.ndarray:

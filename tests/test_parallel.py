@@ -16,6 +16,7 @@ from repro.parallel import (
     task_rng,
 )
 from repro.tree import DecisionTreeClassifier
+from repro.utils.kernel_pool import available_cpus
 
 
 def _square(x):  # module-level so the process backend can pickle it
@@ -40,10 +41,10 @@ class TestResolveNJobs:
         assert resolve_n_jobs(7) == 7
 
     def test_minus_one_is_cpu_count(self):
-        assert resolve_n_jobs(-1) == os.cpu_count()
+        assert resolve_n_jobs(-1) == available_cpus()
 
     def test_negative_counts_back_from_cpus(self):
-        assert resolve_n_jobs(-2) == max(1, os.cpu_count() - 1)
+        assert resolve_n_jobs(-2) == max(1, available_cpus() - 1)
         # Never resolves below one worker, however negative.
         assert resolve_n_jobs(-10_000) == 1
 
