@@ -34,8 +34,13 @@ def _stratified_permutation(y: np.ndarray, rng: np.random.RandomState) -> np.nda
         idx = np.flatnonzero(y == label)
         idx = rng.permutation(idx)
         position[idx] = (np.arange(len(idx)) + 0.5) / len(idx)
-    # Tie-break by a second random key to avoid systematic inter-class order.
-    return np.lexsort((rng.permutation(len(y)), position))
+    # Tie-break by a second random key to avoid systematic inter-class order:
+    # list the rows in tie-key order, then sort stably by position — the
+    # order ``np.lexsort((tie, position))`` gives, at about half its cost.
+    tie = rng.permutation(len(y))
+    by_tie = np.empty_like(tie)
+    by_tie[tie] = np.arange(len(y))
+    return by_tie[np.argsort(position[by_tie], kind="stable")]
 
 
 def train_test_split(

@@ -24,20 +24,37 @@ def node_impurity(class_weights: np.ndarray, criterion: str) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def children_impurity(W: np.ndarray, criterion: str) -> np.ndarray:
-    """Row-wise impurity for a (n_candidates, n_classes) weight matrix.
+def _row_sum(W: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(W, axis=1)``, bit for bit, but column by column.
 
-    Uses ``np.add.reduce`` (the kernel behind ``ndarray.sum``, same pairwise
-    accumulation, same bits) to skip the python dispatch wrappers — this
-    runs once per candidate node in the tree builder's hottest loop.
+    numpy adds a row of fewer than 8 entries left to right, one entry at a
+    time, so column-wise adds reproduce it exactly while paying one
+    dispatch per column instead of one per row (the reduction over a short
+    class axis is several times slower). Wider rows switch to numpy's
+    pairwise grouping and keep ``add.reduce``. Pinned against
+    ``np.add.reduce`` by ``tests/test_tree.py``.
     """
-    totals = np.add.reduce(W, axis=1)
+    n_cols = W.shape[1]
+    if n_cols == 0 or n_cols >= 8:
+        return np.add.reduce(W, axis=1)
+    out = W[:, 0].copy()
+    for c in range(1, n_cols):
+        out += W[:, c]
+    return out
+
+
+def _impurity_rows(W: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
     safe = np.where(totals > 0, totals, 1.0)
     p = W / safe[:, None]
     if criterion == "gini":
-        return 1.0 - np.add.reduce(p * p, axis=1)
+        return 1.0 - _row_sum(p * p)
     logp = np.where(p > 0, np.log2(np.maximum(p, _EPS)), 0.0)
-    return -np.add.reduce(p * logp, axis=1)
+    return -_row_sum(p * logp)
+
+
+def children_impurity(W: np.ndarray, criterion: str) -> np.ndarray:
+    """Row-wise impurity for a (n_candidates, n_classes) weight matrix."""
+    return _impurity_rows(W, _row_sum(W), criterion)
 
 
 def split_gain(
@@ -52,14 +69,16 @@ def split_gain(
     For ``gain_ratio`` the information gain is normalised by the split
     information, as in Quinlan's C4.5. Left and right children are stacked
     into one impurity evaluation (row-wise math — identical values, half
-    the numpy dispatches).
+    the numpy dispatches), reusing the side totals as the row sums.
     """
-    wl = np.add.reduce(left, axis=1)
-    wr = np.add.reduce(right, axis=1)
+    wl = _row_sum(left)
+    wr = _row_sum(right)
     total = wl + wr
     safe_total = np.where(total > 0, total, 1.0)
     child_criterion = "entropy" if criterion == "gain_ratio" else criterion
-    both = children_impurity(np.concatenate([left, right]), child_criterion)
+    both = _impurity_rows(
+        np.concatenate([left, right]), np.concatenate([wl, wr]), child_criterion
+    )
     il = both[: len(left)]
     ir = both[len(left):]
     gain = parent_impurity - (wl * il + wr * ir) / safe_total

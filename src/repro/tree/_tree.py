@@ -1,16 +1,16 @@
-"""Array-backed decision tree structure and depth-first builder."""
+"""Array-backed decision tree structure and its two builders."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .. import telemetry
 from ..utils.validation import check_random_state
 from ._binning import FeatureBinner
-from ._criterion import node_impurity, split_gain
+from ._criterion import _row_sum, node_impurity, split_gain
 
 __all__ = ["Tree", "build_tree"]
 
@@ -155,10 +155,15 @@ def build_tree(
     Random Forest relies on — and grows depth-first, consuming the RNG in
     stack order. Without feature subsampling there is no per-node
     randomness, and the tree is grown level-synchronously instead: one
-    histogram ``bincount`` and one vectorised gain evaluation per *level*
-    covering every frontier node at once, then renumbered to the exact
-    depth-first node ids the stack builder would have produced. Both
-    builders emit bit-identical trees (pinned by ``tests/test_fastpath_units.py``).
+    histogram ``bincount``, one vectorised gain evaluation and one row
+    routing pass per *level* covering every frontier node at once, then
+    placed at the exact depth-first node ids the stack builder would have
+    produced. Both builders emit bit-identical trees, weighted or not
+    (pinned by ``tests/test_fastpath_units.py``): a child's class counts
+    are taken from its parent's histogram, which is exact for integers
+    and — with uniform weights — for the class weights too, while
+    weighted trees sum class weights with a ``bincount`` over the routed
+    rows in the stack builder's row order.
 
     One carve-out keeps that guarantee exact: entropy-family node impurity
     compacts to the nonzero class probabilities before summing, and
@@ -302,15 +307,32 @@ def _node_impurity_rows(
     safe = np.where(total_w > 0, total_w, 1.0)
     p = class_w / safe[:, None]
     if criterion == "gini":
-        imp = 1.0 - np.add.reduce(p * p, axis=1)
+        imp = 1.0 - _row_sum(p * p)
     else:
         # log2 of the *actual* probability (node_impurity does not clamp);
         # zero entries contribute exact 0.0 terms, which cannot change any
         # pairwise partial sum.
         logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        imp = -np.add.reduce(p * logp, axis=1)
+        imp = -_row_sum(p * logp)
     imp[total_w <= 0] = 0.0
     return imp
+
+
+def _level_node_stats(class_w: np.ndarray, criterion: str):
+    """Impurity and leaf distribution of a level's nodes — the same
+    per-row float ops the stack builder applies to one node."""
+    total_w = _row_sum(class_w)
+    imp = _node_impurity_rows(class_w, total_w, criterion)
+    dist = class_w / np.where(total_w > 0, total_w, 1.0)[:, None]
+    dist[total_w <= 0] = 1.0 / class_w.shape[1]
+    return imp, dist
+
+
+def _splittable(m_node, imp, depth, max_depth, min_samples_split) -> np.ndarray:
+    """Level indices of the nodes the stack builder would try to split."""
+    if depth >= max_depth:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero((m_node >= min_samples_split) & (imp > 1e-12))
 
 
 def _grow_level_synchronous(
@@ -331,9 +353,13 @@ def _grow_level_synchronous(
     depth-first ids of the stack builder.
 
     Per level, one ``bincount`` over ``(node, feature, bin, class)`` builds
-    every node's split histograms at once and one :func:`split_gain` call
-    scores every candidate of every node, so python/numpy dispatch cost is
-    paid per level instead of per node.
+    every splittable node's histograms at once and one :func:`split_gain`
+    call scores every candidate of every node, so python/numpy dispatch
+    cost is paid per level instead of per node. Past the histogram, each
+    level makes one routing pass over its live rows that sends each row
+    to its child and drops the rows of children that cannot split. Live rows carry one histogram offset per feature,
+    ``(f * B + code) * C + class``, so a level's cell index is that offset
+    plus the row's slot term, and slots number only splittable nodes.
 
     The split search is sparse: a code is scored only where its bin holds
     rows of that node (on a 160k-row checkerboard tree, 32k of the 897k
@@ -344,110 +370,93 @@ def _grow_level_synchronous(
     non-empty code below it, which comes first in that order, so the
     earliest-feature/lowest-code tie-break of the dense search is kept.
 
-    Bit-identity with the stack builder: rows keep ascending order inside
-    each node (never re-sorted), so histogram cells accumulate identical
-    float sequences; the gain formulas are evaluated row-wise (same
-    elementwise ops); the tie-break above matches the stack builder's
-    flat argmax; and the final preorder renumbering yields the same node
-    ids the depth-first stack would have assigned.
+    A child's integer class counts come from its parent's histogram: left
+    is the cumulative count up to the chosen cell, right is the parent
+    minus left. Integers are exact, and with uniform weights the class
+    weights *are* those counts as floats (sums of 1.0 are exact), so they
+    equal the stack builder's per-node ``bincount``. Non-uniform weights
+    keep a weighted ``bincount`` of the routed rows for the class sums,
+    because a cumulative float sum groups additions differently.
+
+    Node arrays are built per level and placed at their depth-first
+    (preorder) ids at the end: subtree sizes are summed bottom-up level by
+    level, then a left child's id is its parent's plus one and a right
+    child's is that plus the left subtree's size.
+
+    Bit-identity with the stack builder: live rows stay in ascending
+    order (filtering never reorders), and histogram cells are filled
+    feature by feature, so every cell and every weighted class sum
+    accumulates the same float sequence the per-node ``bincount`` does;
+    gains and impurities are evaluated row-wise (same elementwise ops);
+    the tie-break above matches the stack builder's flat argmax; and the
+    preorder ids are the ones the depth-first stack assigns.
     """
     n_rows, n_features = X_binned.shape
     C = n_classes
     F = n_features
     B = int(n_bins_all.max()) if F else 0
-    feat_c: List[int] = []
-    thr_c: List[float] = []
-    left_c: List[int] = []
-    right_c: List[int] = []
-    val_c: List[np.ndarray] = []
-    ns_c: List[int] = []
-    imp_c: List[float] = []
+    FBC = F * B * C
+    # Thresholds of every (feature, code) split, padded to the widest
+    # feature; a chosen code is never a feature's top bin.
+    edge_table = np.zeros((F, max(B - 1, 1)))
+    for f in range(F):
+        edges = binner.edges_[f]
+        edge_table[f, : len(edges)] = edges
 
-    rows = np.arange(n_rows)
+    # Live rows: histogram offsets (feature-major, so each feature's rows
+    # stay contiguous and ascending) and, for weighted trees, the class
+    # and weight each weighted bincount needs.
+    off = np.ascontiguousarray(X_binned.T, dtype=np.int64)
+    off *= C
+    off += (np.arange(F, dtype=np.int64) * (B * C))[:, None]
+    off += y_encoded
+    if not uniform_weight:
+        y_live = np.asarray(y_encoded, dtype=np.int64)
+        w_live = sample_weight
     slots = np.zeros(n_rows, dtype=np.int64)
-    n_slots = 1
-    level_parents: List[Tuple[int, bool]] = [(_LEAF, False)]
-    depth = 0
-    # Per-row histogram offsets ``(f * B + code) * C``: a level's cell
-    # indices are one row gather plus the node and class terms.
-    row_offsets = (X_binned + np.arange(F, dtype=np.int64) * B) * C
-    codes_flat = np.ascontiguousarray(X_binned).ravel()
+    row_ids = np.arange(n_rows)
+
+    counts = np.bincount(y_encoded, minlength=C)[None, :]
+    if uniform_weight:
+        class_w = counts.astype(np.float64)
+    else:
+        class_w = np.bincount(y_encoded, weights=sample_weight, minlength=C)[None, :]
+    m_node = _row_sum(counts)
+    imp, dist = _level_node_stats(class_w, criterion)
+    eligible = _splittable(m_node, imp, 0, max_depth, min_samples_split)
+    if B < 2:  # no feature has a split point
+        eligible = eligible[:0]
+
+    # Per level: (distribution, rows, impurity) of its nodes; and for every
+    # level but the last, (split nodes' level indices, feature, threshold).
+    # Children of the k-th split node are nodes 2k and 2k + 1 of the next
+    # level.
+    levels = []
+    splits = []
 
     # Per-level stage timing: the watch is observed at the top of the
     # next level (and once after the loop), so every exit path — normal
     # depletion or any of the early breaks — closes the last level.
     level_hist = telemetry.stage_histogram("tree_level")
     level_watch = None
-
-    while n_slots:
+    depth = 0
+    while True:
         if level_watch is not None:
             level_watch.observe(level_hist)
         level_watch = telemetry.stopwatch()
-        S = n_slots
-        y_lvl = y_encoded[rows]
-        comb = slots * C + y_lvl
-        counts_cls = np.bincount(comb, minlength=S * C).reshape(S, C)
-        if uniform_weight:
-            class_w = counts_cls.astype(np.float64)
-        else:
-            class_w = np.bincount(
-                comb, weights=sample_weight[rows], minlength=S * C
-            ).reshape(S, C)
-        m_slot = np.add.reduce(counts_cls, axis=1)
-        total_w = np.add.reduce(class_w, axis=1)
-        imp = _node_impurity_rows(class_w, total_w, criterion)
-        dist = class_w / np.where(total_w > 0, total_w, 1.0)[:, None]
-        dist[total_w <= 0] = 1.0 / C
-
-        base_id = len(feat_c)
-        for s in range(S):
-            feat_c.append(_LEAF)
-            thr_c.append(0.0)
-            left_c.append(_LEAF)
-            right_c.append(_LEAF)
-            val_c.append(dist[s])
-            ns_c.append(int(m_slot[s]))
-            imp_c.append(float(imp[s]))
-            parent, is_left = level_parents[s]
-            if parent != _LEAF:
-                if is_left:
-                    left_c[parent] = base_id + s
-                else:
-                    right_c[parent] = base_id + s
-
-        if depth >= max_depth or B < 2:
-            break
-        can_split = (m_slot >= min_samples_split) & (imp > 1e-12)
-        eligible = np.flatnonzero(can_split)
+        levels.append((dist, m_node, imp))
         if eligible.size == 0:
             break
-
-        keep = can_split[slots]
-        r = rows[keep]
-        s_old = slots[keep]
         E = eligible.size
-        remap = np.full(S, _LEAF, dtype=np.int64)
-        remap[eligible] = np.arange(E)
+        n_live = off.shape[1]
+
         # One histogram over every (node, feature, bin, class) cell; cell
         # ``(e * F + f) * B + b`` holds node e's rows with code b on f.
-        idx = np.take(row_offsets, r, axis=0)
-        idx += (remap[s_old] * (F * B * C) + y_lvl[keep])[:, None]
-        idx = idx.ravel()
+        hist_idx = off + slots * FBC
+        hist_idx = hist_idx.ravel()
         n_cells = E * F * B
-        counts = np.bincount(idx, minlength=n_cells * C).reshape(n_cells, C)
-        if uniform_weight:
-            weighted = counts.astype(np.float64)
-        else:
-            weighted = np.bincount(
-                idx, weights=np.repeat(sample_weight[r], F),
-                minlength=n_cells * C,
-            ).reshape(n_cells, C)
-        # Rows per cell, summed class by class: np.add.reduce over the short
-        # class axis is an order of magnitude slower.
-        n_cell = counts[:, 0].copy()
-        for c in range(1, C):
-            n_cell += counts[:, c]
-        n_cell = n_cell.reshape(E * F, B)
+        cell_counts = np.bincount(hist_idx, minlength=n_cells * C).reshape(n_cells, C)
+        n_cell = _row_sum(cell_counts).reshape(E * F, B)
         # Sparse candidates: code b is scored only when bin b holds rows of
         # the node (and b is not the top bin, which puts every row left).
         occupied = n_cell > 0
@@ -455,8 +464,16 @@ def _grow_level_synchronous(
         cand = np.flatnonzero(occupied)
         if cand.size == 0:
             break
-        left_w = weighted.reshape(E * F, B, C).cumsum(axis=1).reshape(n_cells, C)[cand]
-        n_left = n_cell.cumsum(axis=1).ravel()[cand]
+        cum_counts = cell_counts.reshape(E * F, B, C).cumsum(axis=1).reshape(n_cells, C)
+        left_counts = cum_counts[cand]
+        n_left = _row_sum(left_counts)
+        if uniform_weight:
+            left_w = left_counts.astype(np.float64)
+        else:
+            weighted = np.bincount(
+                hist_idx, weights=np.tile(w_live, F), minlength=n_cells * C
+            ).reshape(E * F, B, C)
+            left_w = weighted.cumsum(axis=1).reshape(n_cells, C)[cand]
         e_of = cand // (F * B)
         gains = split_gain(
             left_w,
@@ -464,7 +481,7 @@ def _grow_level_synchronous(
             imp[eligible][e_of],
             criterion,
         )
-        n_right = m_slot[eligible][e_of] - n_left
+        n_right = m_node[eligible][e_of] - n_left
         gains[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
         # Segmented argmax taking each node's *first* maximum; candidates
         # are in (node, feature, code) row-major order.
@@ -478,72 +495,114 @@ def _grow_level_synchronous(
         best_cell = np.zeros(E, dtype=np.int64)
         best_cell[e_of[first]] = cand[first]
         ok = best_gain > min_impurity_decrease + 1e-12
-
-        split_slots = eligible[ok]
-        if split_slots.size == 0:
+        split = eligible[ok]
+        K = split.size
+        if K == 0:
             break
-        best_feature = best_cell[ok] // B % F
-        best_code = best_cell[ok] % B
-        bfeat_of = np.zeros(S, dtype=np.int64)
-        bcode_of = np.zeros(S, dtype=np.int64)
-        bfeat_of[split_slots] = best_feature
-        bcode_of[split_slots] = best_code
-        next_parents: List[Tuple[int, bool]] = []
-        for k in range(split_slots.size):
-            node = base_id + int(split_slots[k])
-            feat_c[node] = int(best_feature[k])
-            thr_c[node] = binner.threshold_value(
-                int(best_feature[k]), int(best_code[k])
-            )
-            next_parents.append((node, True))
-            next_parents.append((node, False))
 
-        splits = np.zeros(S, dtype=bool)
-        splits[split_slots] = True
-        keep2 = splits[s_old]
-        rows = r[keep2]
-        s_old2 = s_old[keep2]
-        pair = np.full(S, _LEAF, dtype=np.int64)
-        pair[split_slots] = np.arange(split_slots.size)
-        go_left = np.take(codes_flat, rows * F + bfeat_of[s_old2]) <= bcode_of[s_old2]
-        slots = 2 * pair[s_old2] + ~go_left
-        level_parents = next_parents
-        n_slots = 2 * split_slots.size
+        cell = best_cell[ok]
+        best_feature = cell // B % F
+        best_code = cell % B
+        splits.append((split, best_feature, edge_table[best_feature, best_code]))
+
+        # Children, interleaved left/right: counts from the histogram.
+        child_counts = np.empty((2 * K, C), dtype=np.int64)
+        child_counts[0::2] = cum_counts[cell]
+        child_counts[1::2] = counts[split] - child_counts[0::2]
+        counts = child_counts
+        m_node = _row_sum(counts)
         depth += 1
+
+        # Routing table over the chosen feature's cells of each split
+        # node: cell (e, f*, b, c) -> left child when b <= code, else
+        # right. Rows of eligible nodes that did not split read the
+        # default entry.
+        cell_base = np.flatnonzero(ok) * FBC + best_feature * (B * C)
+        goes_right = (np.arange(B * C) // C)[None, :] > best_code[:, None]
+        route_cells = (cell_base[:, None] + np.arange(B * C)).ravel()
+        child_of = (2 * np.arange(K)[:, None] + goes_right).ravel()
+        # The cell each live row occupies on its node's chosen feature.
+        pick_feature = np.zeros(E, dtype=np.int64)
+        pick_feature[ok] = best_feature * n_live
+        pick = pick_feature[slots]
+        pick += row_ids[:n_live]
+        pick = np.take(hist_idx, pick)
+
+        if uniform_weight:
+            class_w = counts.astype(np.float64)
+            imp, dist = _level_node_stats(class_w, criterion)
+            eligible = _splittable(m_node, imp, depth, max_depth, min_samples_split)
+            if eligible.size == 0:
+                continue
+            slot_of_child = np.full(2 * K, _LEAF, dtype=np.int64)
+            slot_of_child[eligible] = np.arange(eligible.size)
+            table = np.full(E * FBC, _LEAF, dtype=np.int64)
+            table[route_cells] = slot_of_child[child_of]
+            new_slots = np.take(table, pick)
+        else:
+            # Weighted class sums of the children, rows in ascending order
+            # per (child, class) cell; rows of unsplit nodes go to a spare
+            # child 2K that is cut off.
+            table = np.full(E * FBC, 2 * K, dtype=np.int64)
+            table[route_cells] = child_of
+            child = np.take(table, pick)
+            class_w = np.bincount(
+                child * C + y_live, weights=w_live, minlength=(2 * K + 1) * C
+            )[: 2 * K * C].reshape(2 * K, C)
+            imp, dist = _level_node_stats(class_w, criterion)
+            eligible = _splittable(m_node, imp, depth, max_depth, min_samples_split)
+            if eligible.size == 0:
+                continue
+            slot_of_child = np.full(2 * K + 1, _LEAF, dtype=np.int64)
+            slot_of_child[eligible] = np.arange(eligible.size)
+            new_slots = np.take(slot_of_child, child)
+        live = np.flatnonzero(new_slots >= 0)
+        off = np.take(off, live, axis=1)
+        slots = np.take(new_slots, live)
+        if not uniform_weight:
+            y_live = np.take(y_live, live)
+            w_live = np.take(w_live, live)
 
     if level_watch is not None:
         level_watch.observe(level_hist)
 
-    # Renumber construction (level) order to the stack builder's
-    # depth-first preorder: node, left subtree, right subtree.
-    n = len(feat_c)
-    feat_arr = np.asarray(feat_c, dtype=np.int64)
-    left_arr = np.asarray(left_c, dtype=np.int64)
-    right_arr = np.asarray(right_c, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    new_id = np.empty(n, dtype=np.int64)
-    stack = [0]
-    pos = 0
-    while stack:
-        nid = stack.pop()
-        order[pos] = nid
-        new_id[nid] = pos
-        pos += 1
-        if feat_arr[nid] != _LEAF:
-            stack.append(int(right_arr[nid]))
-            stack.append(int(left_arr[nid]))
-    internal = feat_arr[order] != _LEAF
+    # Depth-first (preorder) ids: subtree sizes bottom-up, then ids
+    # top-down — node, left subtree, right subtree.
+    sizes = [np.ones(len(m), dtype=np.int64) for _, m, _ in levels]
+    for lv in range(len(splits) - 1, -1, -1):
+        below = sizes[lv + 1]
+        sizes[lv][splits[lv][0]] += below[0::2] + below[1::2]
+    n = int(sizes[0][0])
+    feature = np.full(n, _LEAF, dtype=np.int64)
+    threshold = np.zeros(n)
     children_left = np.full(n, _LEAF, dtype=np.int64)
     children_right = np.full(n, _LEAF, dtype=np.int64)
-    children_left[internal] = new_id[left_arr[order][internal]]
-    children_right[internal] = new_id[right_arr[order][internal]]
+    value = np.empty((n, C))
+    n_node_samples = np.empty(n, dtype=np.int64)
+    impurity = np.empty(n)
+    ids = np.zeros(1, dtype=np.int64)
+    for lv, (dist, m, imp) in enumerate(levels):
+        value[ids] = dist
+        n_node_samples[ids] = m
+        impurity[ids] = imp
+        if lv == len(splits):
+            break
+        split, feat, thr = splits[lv]
+        parent_ids = ids[split]
+        feature[parent_ids] = feat
+        threshold[parent_ids] = thr
+        ids = np.empty(2 * split.size, dtype=np.int64)
+        ids[0::2] = parent_ids + 1
+        ids[1::2] = parent_ids + 1 + sizes[lv + 1][0::2]
+        children_left[parent_ids] = ids[0::2]
+        children_right[parent_ids] = ids[1::2]
     return Tree(
-        feature=feat_arr[order],
-        threshold=np.asarray(thr_c, dtype=np.float64)[order],
+        feature=feature,
+        threshold=threshold,
         children_left=children_left,
         children_right=children_right,
-        value=np.asarray(val_c, dtype=np.float64)[order],
-        n_node_samples=np.asarray(ns_c, dtype=np.int64)[order],
-        impurity=np.asarray(imp_c, dtype=np.float64)[order],
+        value=value,
+        n_node_samples=n_node_samples,
+        impurity=impurity,
         n_classes=n_classes,
     )

@@ -195,6 +195,38 @@ class TestSPEFit:
         spe = SelfPacedEnsembleClassifier(_base(), n_estimators=1, random_state=0)
         assert len(spe.fit(X, y).estimators_) == 1
 
+    @pytest.mark.parametrize("n_estimators", [1, 2, 10])
+    def test_majority_scored_only_when_a_member_follows(
+        self, imbalanced_data, monkeypatch, n_estimators
+    ):
+        """The fit loop scores the majority once per member that reads the
+        hardness — ``n_estimators - 1`` times, in memory and streaming —
+        and the skipped final score leaves the model unchanged."""
+        from repro.core.self_paced import InMemoryMajorityAccess
+        from repro.streaming import ArraySource, StreamingSelfPacedEnsembleClassifier
+        from repro.streaming.self_paced import _StreamingMajorityAccess
+
+        X, y = imbalanced_data
+        kwargs = dict(estimator=_base(), n_estimators=n_estimators, random_state=3)
+        plain = SelfPacedEnsembleClassifier(**kwargs).fit(X, y).predict_proba(X)
+        calls = []
+        for access in (InMemoryMajorityAccess, _StreamingMajorityAccess):
+            score = access.score
+
+            def counted(self, model, _score=score, _name=access.__name__):
+                calls.append(_name)
+                return _score(self, model)
+
+            monkeypatch.setattr(access, "score", counted)
+        in_memory = SelfPacedEnsembleClassifier(**kwargs).fit(X, y)
+        assert calls.count("InMemoryMajorityAccess") == n_estimators - 1
+        streaming = StreamingSelfPacedEnsembleClassifier(**kwargs).fit(
+            ArraySource(X, y, block_size=64)
+        )
+        assert calls.count("_StreamingMajorityAccess") == n_estimators - 1
+        assert np.array_equal(in_memory.predict_proba(X), plain)
+        assert np.array_equal(streaming.predict_proba(X), plain)
+
     def test_exclude_cold_start_from_vote(self, imbalanced_data):
         X, y = imbalanced_data
         spe = SelfPacedEnsembleClassifier(

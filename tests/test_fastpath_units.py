@@ -102,13 +102,15 @@ class TestFeatureBinnerCaching:
 
 # --------------------------------------------------------------------- #
 def _builder_inputs():
-    """(name, X, y, n_classes, max_bins, tree kwargs) inputs on which the
-    level builder must reproduce the depth-first builder."""
+    """(name, X, y, n_classes, max_bins, tree kwargs, options) inputs on
+    which the level builder must reproduce the depth-first builder.
+    ``options`` may restrict the ``criteria`` an input runs under and name
+    ``zero_weight`` rows for the weighted run."""
     rng = np.random.RandomState(0)
     base = dict(max_depth=6, min_samples_split=4, min_samples_leaf=2,
                 min_impurity_decrease=0.0)
     X = rng.randn(300, 4)
-    yield "gaussian", X, rng.randint(0, 3, 300), 3, 16, base
+    yield "gaussian", X, rng.randint(0, 3, 300), 3, 16, base, {}
     # Heavy ties: 64 bins per feature, but nearly every row on one of four
     # values, so most (node, feature, bin) cells are empty and most dense
     # candidates repeat a lower code's partition.
@@ -116,39 +118,75 @@ def _builder_inputs():
     p[[5, 20, 40, 63]] = 0.7 / 4
     X = rng.choice(64, size=(600, 3), p=p).astype(float)
     y = ((X[:, 0] > 20) ^ (X[:, 1] > 30) ^ (rng.rand(600) < 0.1)).astype(int)
-    yield "ties", X, y, 2, 64, dict(base, max_depth=None)
+    yield "ties", X, y, 2, 64, dict(base, max_depth=None), {}
     # Impure rows sitting in the top bin of every feature: once split off,
     # their node has no candidate at all and must stay a leaf.
     X = rng.randint(0, 3, (300, 2)).astype(float)
     X[:60] = 2.0
     y = np.where(np.arange(300) < 60, np.arange(300) % 2, X[:, 0] > 0).astype(int)
-    yield "top_bin", X, y, 2, 64, dict(base, max_depth=None, min_samples_leaf=1)
+    yield "top_bin", X, y, 2, 64, dict(base, max_depth=None, min_samples_leaf=1), {}
     # Unequal n_bins_: 64 bins beside 3 and 2, so the narrow features carry
     # phantom bins in the padded layout.
     X = np.column_stack([rng.randn(400), rng.randint(0, 3, 400),
                          rng.randint(0, 2, 400)]).astype(float)
     y = ((X[:, 0] > 0.3) ^ (X[:, 1] == 1)).astype(int)
-    yield "unequal_bins", X, y, 2, 64, dict(base, max_depth=None)
+    yield "unequal_bins", X, y, 2, 64, dict(base, max_depth=None), {}
     X = rng.randn(500, 3)
     y = (X[:, 0] + 0.5 * X[:, 2] + 0.5 * rng.randn(500) > 0).astype(int)
     yield "min_leaf_and_decrease", X, y, 2, 32, dict(
         max_depth=None, min_samples_split=2, min_samples_leaf=7,
         min_impurity_decrease=0.01,
-    )
+    ), {}
     # A duplicated column: every split ties across features 0 and 1.
     x = rng.randn(300)
     X = np.column_stack([x, x, rng.randn(300)])
     y = (x + 0.5 * rng.randn(300) > 0).astype(int)
-    yield "equal_gains", X, y, 2, 16, dict(base, max_depth=None)
+    yield "equal_gains", X, y, 2, 16, dict(base, max_depth=None), {}
+    # A staircase: one row per code, classes alternating, so every split
+    # peels one row off the end — a chain of 47 levels (the preorder ids
+    # of a maximally unbalanced tree).
+    X = np.arange(48, dtype=float)[:, None]
+    yield "staircase", X, np.arange(48) % 2, 2, 64, dict(
+        max_depth=None, min_samples_split=2, min_samples_leaf=1,
+        min_impurity_decrease=0.0,
+    ), {}
+    # min_samples_split above most children's size: those children are
+    # leaves whose rows leave the live set on the routing pass.
+    X = rng.randn(400, 3)
+    y = ((X[:, 0] > 0) ^ (X[:, 1] > 0.5) ^ (rng.rand(400) < 0.2)).astype(int)
+    yield "large_min_split", X, y, 2, 32, dict(
+        base, max_depth=None, min_samples_split=90, min_samples_leaf=1
+    ), {}
+    # Zero-weight rows (the weighted run): they count toward
+    # n_node_samples and min_samples_* but add nothing to class sums, and
+    # a split isolating them has no usable gain.
+    X = rng.randn(400, 2)
+    y = ((X[:, 0] + X[:, 1] > 0) ^ (rng.rand(400) < 0.15)).astype(int)
+    zero = (X[:, 0] > 0.8) | (rng.rand(400) < 0.2)
+    yield "zero_weights", X, y, 2, 32, dict(base, max_depth=None), {
+        "zero_weight": zero
+    }
+    # Member scale: a 60k-row noisy checkerboard, deep trees with wide
+    # levels (gini only, the SPE default, to bound the depth-first run).
+    X = rng.rand(60_000, 2) * 4
+    y = (((X[:, 0].astype(int) + X[:, 1].astype(int)) % 2 == 0)
+         ^ (rng.rand(60_000) < 0.1)).astype(int)
+    yield "large_gini", X, y, 2, 64, dict(base, max_depth=None), {
+        "criteria": ("gini",)
+    }
 
 
 class TestLevelSynchronousBuilder:
     @pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bit_identical_to_depth_first(self, criterion, weighted):
-        for name, X, y, n_classes, max_bins, kwargs in _builder_inputs():
+        for name, X, y, n_classes, max_bins, kwargs, options in _builder_inputs():
+            if criterion not in options.get("criteria", (criterion,)):
+                continue
             w = (np.random.RandomState(1).rand(len(y)) if weighted
                  else np.ones(len(y)))
+            if weighted and "zero_weight" in options:
+                w[options["zero_weight"]] = 0.0
             binner = FeatureBinner(max_bins=max_bins).fit(X)
             Xb = binner.transform(X)
             level = build_tree(Xb, y, w, binner, n_classes=n_classes,
@@ -175,6 +213,39 @@ class TestLevelSynchronousBuilder:
                 # The all-top-bin rows end in an impure leaf.
                 leaf = level.apply(X[:1])[0]
                 assert level.feature[leaf] == -1 and level.impurity[leaf] > 0
+            if name == "staircase" and not weighted:
+                # Every internal node has a leaf child, 47 levels deep.
+                internal = np.flatnonzero(level.feature != -1)
+                assert level.max_depth == 47 and internal.size == 47
+                assert np.all(
+                    (level.feature[level.children_left[internal]] == -1)
+                    | (level.feature[level.children_right[internal]] == -1)
+                )
+            if name == "large_min_split":
+                # Most children are too small to split, yet still grow.
+                parents = np.flatnonzero(level.feature != -1)
+                small = level.n_node_samples < kwargs["min_samples_split"]
+                assert small.sum() > parents.size // 2 and level.max_depth >= 3
+
+    def test_zero_total_weight_root_is_a_uniform_leaf(self):
+        """All-zero weights: the root has total weight 0, so both builders
+        stop there with impurity 0 and the uniform distribution."""
+        rng = np.random.RandomState(4)
+        X = rng.randn(100, 2)
+        y = (X[:, 0] > 0).astype(int)
+        binner = FeatureBinner(max_bins=16).fit(X)
+        Xb = binner.transform(X)
+        w = np.zeros(100)
+        level = build_tree(Xb, y, w, binner, n_classes=2)
+        depth_first = _grow_depth_first(
+            Xb, y, w, binner, 2, "gini", np.inf, 2, 1, 0.0, False,
+            np.asarray(binner.n_bins_), max_features=None, random_state=None,
+        )
+        assert level.node_count == 1
+        assert np.array_equal(level.value, [[0.5, 0.5]])
+        for attr in ("feature", "threshold", "children_left",
+                     "children_right", "value", "n_node_samples", "impurity"):
+            assert np.array_equal(getattr(level, attr), getattr(depth_first, attr))
 
     def test_many_class_gini_still_levelwise_identical(self):
         """Gini impurity has no nonzero-compaction, so the level builder

@@ -69,6 +69,36 @@ class TestTrainTestSplit:
         with pytest.raises(DataValidationError, match="stratify must be a bool"):
             train_test_split(X, y, stratify=stratify, random_state=0)
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.array([0] * 40 + [1] * 7),
+            np.array([2, 0, 1] * 9 + [1] * 5),
+            np.array(["maj"] * 30 + ["min"] * 4 + ["mid"] * 9),
+            # Sizes 2 and 6 put both classes at exactly 0.25 and 0.75.
+            np.array([0] * 6 + [1] * 2),
+        ],
+        ids=["two-class", "three-class", "string-labels", "cross-class-ties"],
+    )
+    def test_stratified_order_matches_lexsort_reference(self, y):
+        """The stable argsort in tie-key order reproduces the historical
+        ``np.lexsort((tie, position))`` order from the same RNG draws."""
+        from repro.model_selection.split import _stratified_permutation
+
+        def reference(y, rng):
+            position = np.empty(len(y))
+            for label in np.unique(y):
+                idx = rng.permutation(np.flatnonzero(y == label))
+                position[idx] = (np.arange(len(idx)) + 0.5) / len(idx)
+            return np.lexsort((rng.permutation(len(y)), position))
+
+        for seed in range(20):
+            rng_a, rng_b = np.random.RandomState(seed), np.random.RandomState(seed)
+            assert np.array_equal(
+                _stratified_permutation(y, rng_a), reference(y, rng_b)
+            ), seed
+            assert rng_a.randint(1 << 30) == rng_b.randint(1 << 30)
+
     @settings(max_examples=20)
     @given(st.floats(min_value=0.1, max_value=0.9))
     def test_sizes_property(self, test_size):

@@ -171,6 +171,21 @@ class TestDecisionTree:
         assert clf.tree_.max_depth <= depth
 
 
+class TestCriterion:
+    @pytest.mark.parametrize("n_cols", range(13))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_row_sum_matches_add_reduce_bitwise(self, n_cols, order):
+        """The split search's column-by-column row sums must equal numpy's
+        own row reduction bit for bit at every class count."""
+        from repro.tree._criterion import _row_sum
+
+        rng = np.random.RandomState(n_cols)
+        for n_rows in (1, 7, 9, 1000):
+            W = rng.rand(n_rows, n_cols) * 10.0 ** rng.randint(-8, 8, (n_rows, n_cols))
+            W = np.asarray(W, order=order)
+            assert np.array_equal(_row_sum(W), np.add.reduce(W, axis=1))
+
+
 class TestC45:
     def test_uses_gain_ratio(self):
         assert C45Classifier().criterion == "gain_ratio"
