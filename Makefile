@@ -25,11 +25,10 @@ coverage:
 # BENCH_streaming.json, BENCH_fastpath.json, BENCH_serving.json,
 # BENCH_monitoring.json, BENCH_chaos.json, and BENCH_telemetry.json at
 # the repo root (uploaded as CI artifacts). The fastpath smoke asserts a
-# conservative >=1.2x speedup floor (REPRO_FASTPATH_MIN_SPEEDUP) so
-# shared runners don't flake, against the default fit for
-# shared_binning and the chunked packed="never" path for prediction, plus
-# bit-identity of every timed pair and of the fit loop's per-member
-# majority scores; the serving smoke asserts bit-identity of
+# conservative >=1.2x floor (REPRO_FASTPATH_MIN_SPEEDUP) so shared
+# runners don't flake on the packed kernel's bulk predict_proba against
+# the chunked packed="never" path, plus bit-identity of every timed pair
+# and of the fit loop's per-member majority scores; the serving smoke asserts bit-identity of
 # the served path and records latency percentiles without a floor; the
 # monitoring smoke asserts the hot-swap zero-blocked-requests contract;
 # the chaos smoke asserts the fault-tolerance SLOs (zero hung futures,
@@ -48,15 +47,15 @@ bench-smoke:
 	REPRO_SCALE=0.25 $(PYTHON) benchmarks/bench_telemetry.py
 	$(PYTHON) tools/bench_report.py
 
-# Full-scale fastpath speedup benchmark: SPE fit (default vs
-# shared_binning=True) and predict_proba (chunked packed="never" vs packed
-# kernel / code table), bit-identity asserted on every pair.
+# Full-scale fastpath speedup benchmark: predict_proba of a default SPE on
+# the chunked packed="never" path vs the packed kernel (bulk and 512-row
+# serving batches), bit-identity asserted on every pair.
 bench-fastpath:
 	$(PYTHON) benchmarks/bench_fastpath.py
 
 # Full-scale serving benchmark: cold artifact load + warm micro-batch
-# latency (p50/p99 at request sizes 1/64/512) for the packed-forest and
-# code-table serving paths, then the multi-process fleet phases — the
+# latency (p50/p99 at request sizes 1/64/512) on the packed-forest
+# serving path, then the multi-process fleet phases — the
 # 1/2/4-worker throughput curve, per-worker private-memory deltas vs the
 # mmap'd artifact (zero-copy claim), admission-control overflow, and a
 # fleet-wide hot swap under load with zero dropped requests asserted.

@@ -29,13 +29,13 @@ import numpy as np
 from .. import telemetry
 from ..base import BaseEstimator, ClassifierMixin
 from ..ensemble.bagging import make_member_model
-from ..fastpath import BinnedSubset, shared_bin_context_for
-from ..fastpath.codetable import SharedMemberScorer
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
 from ..utils.validation import (
     BinaryLabelEncoderMixin,
     check_array,
+    check_both_classes,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
     encode_binary_labels,
@@ -97,11 +97,6 @@ def _majority_union_minority_sample(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Engine ``sample_fn`` for one SPE member: shuffled sampled-majority ∪
     all-minority training set (labels rebuilt as 0/1).
-
-    With ``shared_binning`` both inputs are :class:`BinnedSubset` views of
-    the same :class:`~repro.fastpath.SharedBinContext`; concatenation and
-    shuffling then stay pure index arithmetic (no feature rows copied), and
-    the RNG consumption is identical to the array path.
     """
     y_train = np.concatenate(
         [
@@ -109,10 +104,7 @@ def _majority_union_minority_sample(
             np.ones(len(X_min), dtype=int),
         ]
     )
-    if isinstance(X_sub_maj, BinnedSubset):
-        X_train = X_sub_maj.concat(X_min)
-    else:
-        X_train = np.vstack([X_sub_maj, X_min])
+    X_train = np.vstack([X_sub_maj, X_min])
     perm = rng.permutation(len(y_train))
     return X_train[perm], y_train[perm]
 
@@ -171,51 +163,25 @@ class InMemoryMajorityAccess:
 
     Scoring runs ``proba_fn`` — the same
     :func:`~repro.parallel.ensemble_predict_proba` call ``predict_proba``
-    makes, so tree members go through the packed kernel on the float rows.
-    Members fitted against ``bin_context`` (``shared_binning=True``) are
-    scored instead through their compiled code table over the cached fine
-    codes (:class:`~repro.fastpath.codetable.SharedMemberScorer`); both
-    routes are bit-identical to the chunked per-tree path.
-
-    With ``bin_context`` set, the gather methods also hand out
-    :class:`BinnedSubset` views so member trees fit directly on the shared
-    pre-binned codes.
+    makes, so tree members go through the packed kernel on the float rows,
+    bit-identically to the chunked per-tree path.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        maj_idx: np.ndarray,
-        proba_fn: Callable,
-        bin_context=None,
-    ):
+    def __init__(self, X: np.ndarray, maj_idx: np.ndarray, proba_fn: Callable):
         self._X = X
-        self._maj_idx = maj_idx
         self._X_maj = X[maj_idx]
         self._proba_fn = proba_fn
-        self._context = bin_context
-        self._shared = (
-            SharedMemberScorer(bin_context, maj_idx) if bin_context is not None else None
-        )
 
     def take_global(self, indices: np.ndarray) -> np.ndarray:
         """Rows by global dataset index (the cold-start draw)."""
-        if self._context is not None:
-            return self._context.view(indices)
         return self._X[indices]
 
     def take(self, local_indices: np.ndarray) -> np.ndarray:
         """Rows by majority-local index (the self-paced subsets)."""
-        if self._context is not None:
-            return self._context.view(self._maj_idx[local_indices])
         return self._X_maj[local_indices]
 
     def score(self, model) -> np.ndarray:
         """Positive-class probability of ``model`` on every majority row."""
-        if self._shared is not None:
-            proba = self._shared.predict_proba(model, np.array([0, 1]))
-            if proba is not None:
-                return proba[:, 1]
         return self._proba_fn(model, self._X_maj)
 
 
@@ -265,15 +231,6 @@ class SelfPacedEnsembleClassifier(
         Rows per scoring task; default
         :data:`repro.parallel.DEFAULT_CHUNK_SIZE`. Any value yields the
         same probabilities.
-    shared_binning : bool, default False
-        Bin the training matrix once (:class:`repro.fastpath.SharedBinContext`)
-        and fit every member tree on row-subset views of the cached integer
-        codes instead of re-running ``FeatureBinner.fit`` per member.
-        Requires a tree base estimator. Bin edges are then computed over the
-        full matrix rather than each member's subset, so the fitted ensemble
-        is statistically equivalent but *not* bit-identical to the default
-        path (which is why this is opt-in). RNG consumption is unchanged:
-        the same rows are drawn for every member in both modes.
     random_state : int / RandomState, optional
 
     Notes
@@ -321,7 +278,6 @@ class SelfPacedEnsembleClassifier(
         n_jobs: Optional[int] = None,
         backend: str = "thread",
         chunk_size: Optional[int] = None,
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
@@ -334,7 +290,6 @@ class SelfPacedEnsembleClassifier(
         self.n_jobs = n_jobs
         self.backend = backend
         self.chunk_size = chunk_size
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     # ------------------------------------------------------------------ #
@@ -384,20 +339,11 @@ class SelfPacedEnsembleClassifier(
         classes, y, minority_idx = encode_binary_labels(y)
         self._set_label_encoding(classes, minority_idx)
         rng = check_random_state(self.random_state)
+        check_both_classes(y, self)
         maj_idx = np.flatnonzero(y == 0)
         min_idx = np.flatnonzero(y == 1)
-        if len(min_idx) == 0 or len(maj_idx) == 0:
-            raise ValueError("SPE requires both classes present (0=majority, 1=minority)")
-        if self.shared_binning:
-            with telemetry.stage_timer("shared_binning"):
-                context = shared_bin_context_for(self.estimator, X, y=y)
-        else:
-            context = None
-        majority = InMemoryMajorityAccess(
-            X, maj_idx, self._proba_pos, bin_context=context
-        )
-        X_min = context.view(min_idx) if context is not None else X[min_idx]
-        self._fit_loop(majority, X_min, maj_idx, rng, eval_set)
+        majority = InMemoryMajorityAccess(X, maj_idx, self._proba_pos)
+        self._fit_loop(majority, X[min_idx], maj_idx, rng, eval_set)
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -501,7 +447,7 @@ class SelfPacedEnsembleClassifier(
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         internal = ensemble_predict_proba(
             self._voting_estimators(),
             X,

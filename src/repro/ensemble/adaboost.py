@@ -15,8 +15,8 @@ import numpy as np
 from ..base import BaseEstimator, ClassifierMixin, clone, supports_sample_weight
 from ..tree import DecisionTreeClassifier
 from ..utils.validation import (
-    check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
@@ -138,7 +138,7 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
     def decision_scores(self, X) -> np.ndarray:
         """Per-class aggregated votes (n_samples, n_classes)."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         K = len(self.classes_)
         scores = np.zeros((X.shape[0], K))
         for model, alpha in zip(self.estimators_, self.estimator_weights_):

@@ -8,12 +8,11 @@ from typing import Optional
 import numpy as np
 
 from ..base import BaseEstimator, ClassifierMixin, clone
-from ..fastpath import check_shared_binning_backend, shared_bin_context_for
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..tree import DecisionTreeClassifier
 from ..utils.validation import (
-    check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
@@ -84,13 +83,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
     ``n_jobs`` / ``backend`` drive both the per-member fits and the chunked
     ``predict_proba`` through :mod:`repro.parallel`; results are identical
     for every backend and worker count at a fixed ``random_state``.
-
-    ``shared_binning=True`` (tree members only) bins the training matrix
-    once and fits every bootstrap member on views of the cached codes — the
-    biggest win of the bin-once context, since plain bagging re-binned a
-    full-size bootstrap per member. Bin edges then come from the full
-    matrix, so the fitted trees are statistically equivalent but not
-    bit-identical to the default per-member-binned ones.
     """
 
     def __init__(
@@ -101,7 +93,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         bootstrap: bool = True,
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
@@ -110,7 +101,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         self.bootstrap = bootstrap
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def fit(self, X, y) -> "BaggingClassifier":
@@ -123,13 +113,8 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         rng = check_random_state(self.random_state)
         self.classes_ = np.unique(y)
         size = max(1, int(round(self.max_samples * X.shape[0])))
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            X_fit = shared_bin_context_for(self.estimator, X).all_rows()
-        else:
-            X_fit = X
         self.estimators_, _ = fit_ensemble_parallel(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=partial(
@@ -149,7 +134,7 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         return ensemble_predict_proba(
             self.estimators_,
             X,

@@ -8,13 +8,11 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from ..base import BaseEstimator, ClassifierMixin
-from ..fastpath import SharedBinContext, check_shared_binning_backend
-from ..fastpath.bincontext import FINE_FACTOR, MAX_FINE_BINS
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..tree import DecisionTreeClassifier
 from ..utils.validation import (
-    check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
@@ -53,11 +51,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     Tree fits and chunked ``predict_proba`` run through the
     :mod:`repro.parallel` engine; ``n_jobs`` / ``backend`` never change the
     forest grown under a fixed ``random_state``.
-
-    ``shared_binning=True`` bins the training matrix once and fits every
-    tree on views of the cached codes (each member previously re-binned a
-    full-size bootstrap). Statistically equivalent, not bit-identical, to
-    the default per-member binning — see ``DESIGN.md`` → "fastpath".
     """
 
     def __init__(
@@ -72,7 +65,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         max_bins: int = 64,
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.n_estimators = n_estimators
@@ -85,7 +77,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         self.max_bins = max_bins
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def fit(self, X, y) -> "RandomForestClassifier":
@@ -103,16 +94,8 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             max_features=self.max_features,
             max_bins=self.max_bins,
         )
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            fine = max(
-                self.max_bins, min(MAX_FINE_BINS, FINE_FACTOR * self.max_bins)
-            )
-            X_fit = SharedBinContext(X, max_bins=fine).all_rows()
-        else:
-            X_fit = X
         self.estimators_, _ = fit_ensemble_parallel(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=partial(
@@ -131,7 +114,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         return ensemble_predict_proba(
             self.estimators_,
             X,

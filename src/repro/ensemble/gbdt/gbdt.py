@@ -17,6 +17,7 @@ from ...tree import FeatureBinner
 from ...utils.validation import (
     check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
@@ -142,7 +143,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
     def decision_function(self, X) -> np.ndarray:
         """Real-valued scores for the positive class."""
         check_is_fitted(self, ["trees_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         raw = np.full(X.shape[0], self.init_score_)
         for tree in self.trees_:
             raw += self.learning_rate * tree.predict(X)
@@ -151,7 +152,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
     def staged_decision_function(self, X):
         """Yield the raw score after each boosting round (Fig 5-style curves)."""
         check_is_fitted(self, ["trees_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         raw = np.full(X.shape[0], self.init_score_)
         for tree in self.trees_:
             raw += self.learning_rate * tree.predict(X)
@@ -163,7 +164,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["trees_"])
         if len(self.classes_) == 1:
-            X = check_array(X)
+            X = check_n_features(self, X)
             return np.ones((X.shape[0], 1))
         p1 = _sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p1, p1])

@@ -29,10 +29,9 @@ pair is an independent job writing its own slice of the output, so the
 jobs run on every CPU through :func:`repro.utils.kernel_pool.kernel_map`;
 rows are split evenly, and into at least as many jobs as the pool has
 threads. The segmented walk lets leaves loop on themselves: at pack time
-every leaf gets step feature 0 and step left ``leaf - 1``, and the key at
-a leaf is one no comparison satisfies (NaN among float thresholds,
-``iinfo.min`` among integer code cuts), so a finished lane goes "right"
-back to its leaf. Lanes then step with no per-level bookkeeping;
+every leaf gets step feature 0, step left ``leaf - 1`` and threshold NaN,
+which no comparison satisfies, so a finished lane goes "right" back to its
+leaf. Lanes then step with no per-level bookkeeping;
 finished lanes are dropped only every :data:`_COMPACT_LEVELS` levels, and
 each step gathers the lane's value with a 1-D ``take`` on the row-major
 chunk.
@@ -49,11 +48,14 @@ division — so the probabilities match the per-tree path bit for bit
 
 The same kernel serves every caller: ``predict_proba``, serving batches,
 and the SPE fit loop's per-iteration majority scoring all reach it through
-:func:`repro.parallel.ensemble_predict_proba`.
+:func:`repro.parallel.ensemble_predict_proba`. :func:`cached_packed_ensemble`
+keeps each ensemble's forest packed across those calls, and
+:func:`warm_serving_pack` fills that cache before a model takes traffic.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -61,7 +63,13 @@ import numpy as np
 from ..tree._tree import Tree
 from ..utils.kernel_pool import available_cpus, kernel_map
 
-__all__ = ["ESTIMATOR_BLOCK", "PackedForest", "trees_of"]
+__all__ = [
+    "ESTIMATOR_BLOCK",
+    "PackedForest",
+    "cached_packed_ensemble",
+    "trees_of",
+    "warm_serving_pack",
+]
 
 #: Estimators per accumulation block. Must match the chunked engine
 #: (:mod:`repro.parallel.inference` imports it from here) so the two paths
@@ -228,15 +236,14 @@ class PackedForest:
         return cls.from_trees(trees, column_maps, len(class_pos), int(n_features))
 
     # ------------------------------------------------------------------ #
-    def _route(self, matrix: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Leaf node id of every row in every tree: ``(n_trees, n)`` int64.
-
-        A lane goes left exactly when ``matrix[row, feature] < keys[node]``
-        (``keys`` = thresholds for raw floats, code cuts for coded rows;
-        at a leaf, a key no value is below).
-        """
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node id (packed space) of every row in every tree,
+        ``(n_trees, n)`` int64; routing decisions are the exact
+        ``X[row, feature] < threshold`` comparisons of :meth:`Tree.apply`."""
+        matrix = np.ascontiguousarray(X, dtype=np.float64)
         n = matrix.shape[0]
         feature, left, roots = self.feature, self.left, self.roots
+        threshold = self.threshold
         if self.n_trees * n <= _FUSED_LANES:
             # Fused: one lane vector over all trees, python cost per level.
             node = np.repeat(roots, n)
@@ -244,7 +251,7 @@ class PackedForest:
             active = np.flatnonzero(feature[node] != _LEAF)
             while active.size:
                 cur = node[active]
-                go_left = matrix[rows[active], feature[cur]] < keys[cur]
+                go_left = matrix[rows[active], feature[cur]] < threshold[cur]
                 nxt = left[cur] + ~go_left
                 node[active] = nxt
                 active = active[feature[nxt] != _LEAF]
@@ -252,7 +259,6 @@ class PackedForest:
         # Segmented: one (tree, row chunk) job at a time, leaves looping on
         # themselves so lanes are compacted every few levels, not every one.
         # Jobs write disjoint slices of ``out`` and run on the kernel pool.
-        matrix = np.ascontiguousarray(matrix)
         out = np.empty((self.n_trees, n), dtype=np.int64)
         step = _row_step(n, self.n_trees)
         jobs = [
@@ -260,13 +266,14 @@ class PackedForest:
             for t in range(self.n_trees)
             for lo in range(0, n, step)
         ]
-        kernel_map(lambda job: self._walk(matrix, keys, out, *job), jobs)
+        kernel_map(lambda job: self._walk(matrix, out, *job), jobs)
         return out
 
-    def _walk(self, matrix, keys, out, t: int, lo: int, hi: int) -> None:
+    def _walk(self, matrix, out, t: int, lo: int, hi: int) -> None:
         """Segmented kernel: route rows ``lo:hi`` through tree ``t`` into
         ``out[t, lo:hi]``."""
         step_feature, step_left = self._step_feature, self._step_left
+        keys = self._leaf_keyed_threshold
         levels = min(_COMPACT_LEVELS, int(self.depth[t]))
         flat = matrix[lo:hi].ravel()
         lane = np.arange(hi - lo, dtype=np.int64)
@@ -281,19 +288,6 @@ class PackedForest:
             dest[lane[done]] = node[done]
             live = ~done
             node, lane, offset = node[live], lane[live], offset[live]
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id (packed space) of every row in every tree; routing
-        decisions are the exact comparisons of :meth:`Tree.apply`."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        return self._route(X, self._leaf_keyed_threshold)
-
-    def apply_codes(self, codes: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        """Leaf ids over a pre-coded matrix: lane goes left when
-        ``codes[row, feature] < cuts[node]`` (integer cuts; leaf entries
-        are ignored)."""
-        never = np.iinfo(cuts.dtype).min
-        return self._route(codes, np.where(self._is_leaf, never, cuts))
 
     # ------------------------------------------------------------------ #
     def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
@@ -316,3 +310,67 @@ class PackedForest:
         """Class probabilities, columns ordered by ``classes_``."""
         return self.proba_from_leaves(self.apply(X))
 
+
+#: first estimator -> (other members, trees, classes key, forest). The
+#: entry must NOT hold a strong reference to the key itself (a
+#: WeakKeyDictionary value that references its key is immortal), so the
+#: first estimator is stored only implicitly as the key; the remaining
+#: members and every fitted Tree are held strongly, which keeps the
+#: identity checks valid for exactly as long as the entry is reachable.
+_PACK_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def cached_packed_ensemble(
+    estimators: Sequence, classes: np.ndarray
+) -> Optional[PackedForest]:
+    """The ensemble's :class:`PackedForest`, cached across calls, or
+    ``None`` when the ensemble is not packable.
+
+    Keyed weakly by the first estimator and revalidated by identity
+    against every member and its fitted ``tree_``, so refitting any member
+    rebuilds the pack."""
+    est0 = estimators[0]
+    classes_key = tuple(np.asarray(classes).tolist())
+    trees = tuple(getattr(est, "tree_", None) for est in estimators)
+    try:
+        entry = _PACK_CACHE.get(est0)
+    except TypeError:  # unhashable / non-weakrefable estimator type
+        entry = None
+    if entry is not None:
+        others, cached_trees, cached_classes, forest = entry
+        if (
+            cached_classes == classes_key
+            and len(others) == len(estimators) - 1
+            and all(a is b for a, b in zip(others, estimators[1:]))
+            and all(a is b for a, b in zip(cached_trees, trees))
+        ):
+            return forest
+    forest = PackedForest.from_estimators(estimators, classes)
+    if forest is None:
+        return None
+    try:
+        _PACK_CACHE[est0] = (tuple(estimators[1:]), trees, classes_key, forest)
+    except TypeError:
+        pass
+    return forest
+
+
+def warm_serving_pack(model) -> bool:
+    """Eagerly build (and cache) a model's packed forest; ``True`` when one
+    now serves it.
+
+    Uses the model's ``__serving_ensemble__`` hook — the exact
+    ``(estimators, classes)`` pair ``predict_proba`` feeds to the pack
+    cache — so the warmed entry is the one every later request hits.
+    ``False`` when the model has no hook or its members are not packable;
+    callers then serve through the model's normal path. This is the
+    pre-build step of both :class:`~repro.serving.ModelServer`
+    construction and :meth:`~repro.serving.ModelServer.swap_model` — the
+    swap packs the challenger *before* flipping the active model, so no
+    in-flight request ever waits on a re-pack.
+    """
+    hook = getattr(model, "__serving_ensemble__", None)
+    if hook is None:
+        return False
+    estimators, classes = hook()
+    return cached_packed_ensemble(list(estimators), classes) is not None

@@ -28,8 +28,8 @@ from ..ensemble.bagging import make_member_model
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..utils.validation import (
     BinaryLabelEncoderMixin,
-    check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
     encode_binary_labels,
@@ -198,7 +198,7 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         internal = ensemble_predict_proba(
             self.estimators_,
             X,

@@ -8,7 +8,6 @@ from typing import Optional
 import numpy as np
 
 from ..ensemble.adaboost import AdaBoostClassifier, fit_supports_sample_weight
-from ..fastpath import check_shared_binning_backend, shared_bin_context_for
 from ..tree import DecisionTreeClassifier
 from .base import (
     BaseImbalanceEnsemble,
@@ -41,12 +40,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
     ``n_boost_rounds=1`` — or passing such a learner with
     ``boost_incapable='plain'`` — degenerates to UnderBagging, which is the
     equivalence the paper notes for C4.5.
-
-    ``shared_binning=True`` bins the matrix once; plain (un-boosted) bags
-    fit directly on the cached codes, while boosted bags transparently
-    materialise their float rows (AdaBoost re-weights per round, so the
-    shared codes cannot feed it) — correct either way, faster only for the
-    plain degenerate case.
     """
 
     def __init__(
@@ -57,7 +50,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         boost_incapable: str = "resample",
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
@@ -66,7 +58,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         self.boost_incapable = boost_incapable
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def _member_factory(self):
@@ -94,15 +85,8 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         """Fit on ``X``, ``y``; returns ``self``."""
         make_model = self._member_factory()
         X, y, rng = self._validate(X, y)
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            X_fit = shared_bin_context_for(
-                self.estimator, X, y=y, strict=False
-            ).all_rows()
-        else:
-            X_fit = X
         self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=balanced_subset_sample,

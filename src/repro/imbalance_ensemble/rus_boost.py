@@ -7,7 +7,7 @@ from typing import List
 import numpy as np
 
 from ..ensemble.adaboost import fit_supports_sample_weight
-from ..utils.validation import check_array, check_is_fitted
+from ..utils.validation import check_is_fitted, check_n_features
 from .base import BaseImbalanceEnsemble
 
 __all__ = ["RUSBoostClassifier"]
@@ -89,7 +89,7 @@ class RUSBoostClassifier(BaseImbalanceEnsemble):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         votes = np.zeros((X.shape[0], 2))
         for model, alpha in zip(self.estimators_, self.estimator_weights_):
             pred = model.predict(X).astype(int)  # internal 0/1 codes

@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from ..sampling.smote import smote_interpolate
+from ..utils.validation import check_both_classes
 from .base import BaseImbalanceEnsemble, fit_resampled_ensemble
 
 __all__ = ["SMOTEBaggingClassifier"]
@@ -72,6 +73,7 @@ class SMOTEBaggingClassifier(BaseImbalanceEnsemble):
     def fit(self, X, y) -> "SMOTEBaggingClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
         X, y, rng = self._validate(X, y)
+        check_both_classes(y, self)
         self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
             X,
             y,

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..ensemble.adaboost import fit_supports_sample_weight
 from ..sampling.smote import smote_interpolate
-from ..utils.validation import check_array, check_is_fitted
+from ..utils.validation import check_is_fitted, check_n_features
 from .base import BaseImbalanceEnsemble
 
 __all__ = ["SMOTEBoostClassifier"]
@@ -107,7 +107,7 @@ class SMOTEBoostClassifier(BaseImbalanceEnsemble):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         votes = np.zeros((X.shape[0], 2))
         for model, alpha in zip(self.estimators_, self.estimator_weights_):
             pred = model.predict(X).astype(int)  # internal 0/1 codes

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..fastpath import check_shared_binning_backend, shared_bin_context_for
 from .base import (
     BaseImbalanceEnsemble,
     balanced_subset_sample,
@@ -21,10 +20,6 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
     plus an equally sized random draw of the majority — cheap, but each bag
     sees only ``|P| / |N|`` of the majority information, the information-loss
     failure mode the paper attributes to RandUnder-style methods.
-
-    ``shared_binning=True`` (tree members only) bins the matrix once and
-    fits every bag on views of the cached codes; statistically equivalent,
-    not bit-identical, to the default per-bag binning (``DESIGN.md``).
     """
 
     def __init__(
@@ -33,26 +28,19 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
         n_estimators: int = 10,
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
         self.n_estimators = n_estimators
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def fit(self, X, y) -> "UnderBaggingClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
         X, y, rng = self._validate(X, y)
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            X_fit = shared_bin_context_for(self.estimator, X, y=y).all_rows()
-        else:
-            X_fit = X
         self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=balanced_subset_sample,

@@ -7,8 +7,8 @@ from scipy import optimize
 
 from ..base import BaseEstimator, ClassifierMixin
 from ..utils.validation import (
-    check_array,
     check_is_fitted,
+    check_n_features,
     check_X_y,
 )
 
@@ -103,13 +103,13 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
     def decision_function(self, X) -> np.ndarray:
         """Real-valued scores for the positive class."""
         check_is_fitted(self, ["coef_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         return X @ self.coef_ + self.intercept_
 
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         if getattr(self, "_single_class", False):
-            X = check_array(X)
+            X = check_n_features(self, X)
             proba = np.ones((X.shape[0], 1))
             return proba
         p1 = _sigmoid(self.decision_function(X))

@@ -5,7 +5,7 @@ Three detectors, one report type:
 * :class:`FeatureDriftDetector` — **covariate** drift. At training time a
   :class:`ReferenceSketch` captures one quantile histogram per feature
   (cut points from the existing :class:`~repro.tree._binning.FeatureBinner`
-  — the same binning machinery the fastpath trains on — with counts
+  — the same binning machinery every tree trains on — with counts
   accumulated block-by-block, so the sketch streams over a
   :class:`~repro.streaming.DataSource` in bounded memory exactly like
   :class:`~repro.streaming.StreamingBinStats` does for hardness). A live

@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..base import BaseEstimator, ClassifierMixin
-from ..utils.validation import check_array, check_is_fitted, check_X_y
+from ..utils.validation import check_array, check_is_fitted, check_n_features, check_X_y
 from .distance import kneighbors
 
 __all__ = ["NearestNeighbors", "KNeighborsClassifier"]
@@ -74,6 +74,7 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         self._fit_y = y_enc
         k = min(self.n_neighbors, X.shape[0])
         self.effective_n_neighbors_ = k
+        self.n_features_in_ = X.shape[1]
         return self
 
     def _vote(self, X) -> np.ndarray:
@@ -98,8 +99,7 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["_fit_X"])
-        X = check_array(X)
-        return self._vote(X)
+        return self._vote(check_n_features(self, X))
 
     def predict(self, X) -> np.ndarray:
         """Predicted class labels for ``X``."""
@@ -128,3 +128,4 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         self._fit_X = np.asarray(arrays["fit_X"], dtype=np.float64)
         self._fit_y = np.asarray(arrays["fit_y"], dtype=np.int64)
         self.effective_n_neighbors_ = int(meta["effective_n_neighbors"])
+        self.n_features_in_ = self._fit_X.shape[1]

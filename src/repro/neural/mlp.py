@@ -15,8 +15,8 @@ import numpy as np
 from ..base import BaseEstimator, ClassifierMixin
 from ..utils.arrays import stratified_indices
 from ..utils.validation import (
-    check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
@@ -171,7 +171,7 @@ class MLPClassifier(BaseEstimator, ClassifierMixin):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["_weights"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         activations, _ = self._forward(X)
         proba = activations[-1]
         if len(self.classes_) == 1:

@@ -7,7 +7,7 @@ An artifact is a single numpy ``.npz`` archive:
   SHA-256 checksum table, and the ``root`` node — a recursive description
   of the saved estimator: class name, JSON-encoded hyper-parameters, scalar
   fitted metadata, the attribute → archive-key map for its arrays, and its
-  child objects (member models, binners, the shared bin context).
+  child objects (member models, binners).
 * ``a0 .. aN`` — one ``.npy`` member per fitted array (tree node arrays,
   class vectors, binner edges, ...), exactly the bytes of the live model.
 
@@ -34,8 +34,16 @@ corrupting the page cache.
 Round-trip guarantee (gated by ``tests/test_persistence.py``): for every
 supported ensemble, ``load_model(save_model(clf, path))`` predicts
 **bit-identically** to ``clf`` — the arrays are byte-preserved and every
-inference path (chunked, packed forest, compiled code table; any backend)
-is deterministic in them.
+inference path (chunked or packed forest; any backend) is deterministic in
+them.
+
+Artifacts written before the ``shared_binning`` option was removed still
+load: their ensembles record ``"shared_binning": false`` among the
+parameters, which the loader drops. An artifact of a model fitted with
+``shared_binning=True`` (a ``true`` value, or a ``SharedBinContext`` node)
+raises :class:`~repro.exceptions.PersistenceError` naming the option, since
+no class of this build can rebuild it. The layout itself is unchanged, so
+the schema version stays 1.
 """
 
 from __future__ import annotations
@@ -72,7 +80,6 @@ SCHEMA_VERSION = 1
 #: persistable classifier automatically makes its artifacts loadable.
 _AUX: Dict[str, str] = {
     "FeatureBinner": "repro.tree._binning",
-    "SharedBinContext": "repro.fastpath.bincontext",
     "GradientRegressionTree": "repro.ensemble.gbdt.regression_tree",
 }
 
@@ -173,7 +180,18 @@ def _encode_params(params: Dict[str, Any]) -> Dict[str, Any]:
     return {k: _encode_value(k, v) for k, v in params.items()}
 
 
+#: Why a model fitted with the removed ``shared_binning`` option cannot load.
+_SHARED_BINNING_REMOVED = (
+    "the artifact holds a model fitted with shared_binning=True; the "
+    "shared_binning option was removed, so this build cannot rebuild it. "
+    "Refit the model without it and save it again"
+)
+
+
 def _decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
+    params = dict(params)
+    if params.pop("shared_binning", False) is not False:
+        raise PersistenceError(_SHARED_BINNING_REMOVED)
     return {k: _decode_value(v) for k, v in params.items()}
 
 
@@ -345,6 +363,8 @@ def _mmap_arrays(path: str, keys) -> Dict[str, np.ndarray]:
 
 
 def _restore(node: Dict, data) -> Any:
+    if node["class"] == "SharedBinContext":
+        raise PersistenceError(_SHARED_BINNING_REMOVED)
     cls = _registry_class(node["class"])
     arrays = {}
     for attr, key in node["arrays"].items():

@@ -92,7 +92,7 @@ from ..exceptions import (
     UnsupportedPlatformError,
     WorkerCrashedError,
 )
-from ..fastpath.codetable import warm_serving_pack
+from ..fastpath.packed import warm_serving_pack
 from ..utils.validation import check_is_fitted
 from .server import ModelServer, ScoredBatch, _resolve_positive_idx
 

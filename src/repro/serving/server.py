@@ -5,9 +5,8 @@ endpoint:
 
 * **Warm loading** — given an artifact path, the model is restored through
   :func:`repro.persistence.load_model` and its packed inference kernel
-  (:class:`~repro.fastpath.PackedForest`, plus the compiled
-  :class:`~repro.fastpath.CodeTable` for shared-binner ensembles) is built
-  *at construction*, through
+  (:class:`~repro.fastpath.PackedForest`) is built *at construction*,
+  through
   :func:`~repro.fastpath.warm_serving_pack` — which warms the very
   ``(estimators, classes)`` cache entry ``predict_proba`` feeds — so the
   first request pays only the kernel, never a re-pack.
@@ -66,13 +65,13 @@ from ..exceptions import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from ..fastpath.codetable import warm_serving_pack
+from ..fastpath.packed import warm_serving_pack
 
 # Historical import path: threshold_for_precision grew up here but is a
 # ranking-metrics concern; it now lives in repro.metrics and is re-exported
 # so `from repro.serving import threshold_for_precision` keeps working.
 from ..metrics.ranking import threshold_for_precision
-from ..utils.validation import check_is_fitted
+from ..utils.validation import check_is_fitted, check_n_features
 
 __all__ = ["ModelServer", "ScoredBatch", "threshold_for_precision"]
 
@@ -101,7 +100,6 @@ class _ActiveModel:
     classes: np.ndarray
     positive_idx: int
     packed: bool
-    code_table: bool
 
 
 def _resolve_positive_idx(model, classes: np.ndarray) -> int:
@@ -146,7 +144,6 @@ class ModelServer:
     Attributes
     ----------
     packed_ : bool — the active model is served by a warm ``PackedForest``.
-    code_table_ : bool — a compiled ``CodeTable`` additionally serves it.
     n_requests_ / n_batches_ : served-traffic counters (micro-batching
         efficiency = requests per batch); see :meth:`stats` for the rest.
 
@@ -299,14 +296,12 @@ class ModelServer:
             model = load_model(model, mmap_mode="r" if self.mmap else None)
         check_is_fitted(model)
         classes = np.asarray(getattr(model, "classes_", np.array([0, 1])))
-        packed, code_table = warm_serving_pack(model)
         return _ActiveModel(
             model=model,
             version=version,
             classes=classes,
             positive_idx=_resolve_positive_idx(model, classes),
-            packed=packed,
-            code_table=code_table,
+            packed=warm_serving_pack(model),
         )
 
     # -- serving identity (all views of the one _ActiveModel record) ---- #
@@ -336,11 +331,6 @@ class ModelServer:
     def packed_(self) -> bool:
         """Whether the active model serves via a packed kernel."""
         return self._active.packed
-
-    @property
-    def code_table_(self) -> bool:
-        """Whether the active model serves via a code table."""
-        return self._active.code_table
 
     @property
     def threshold(self) -> float:
@@ -405,7 +395,10 @@ class ModelServer:
         request still queued when its deadline expires fails with
         :class:`~repro.exceptions.DeadlineExceededError` instead of
         being scored late (an already-expired deadline raises at
-        submission); ``None`` waits indefinitely."""
+        submission); ``None`` waits indefinitely. Rows that are not a
+        finite matrix of the served model's width raise
+        :class:`~repro.exceptions.DataValidationError` at submission, so
+        they never join another request's batch."""
         return self._enqueue(rows, want_version=False, deadline=deadline)
 
     def submit_scored(self, rows, *, deadline: Optional[float] = None) -> Future:
@@ -428,7 +421,9 @@ class ModelServer:
     def _enqueue(
         self, rows, want_version: bool, deadline: Optional[float] = None
     ) -> Future:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = check_n_features(
+            self._active.model, np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        )
         expires_at = self._resolve_deadline(deadline)
         future: Future = Future()
         # Trace context + queue-wait stopwatch travel with the request;
@@ -498,8 +493,13 @@ class ModelServer:
                     break
                 if self._expire(nxt):
                     continue
-                if total + len(nxt[0]) > self.max_batch:
-                    carry = nxt  # would overflow the bound: next batch
+                if (
+                    total + len(nxt[0]) > self.max_batch
+                    or nxt[0].shape[1] != item[0].shape[1]
+                ):
+                    # Would overflow the bound, or has another width
+                    # (admitted for a model swapped in since): next batch.
+                    carry = nxt
                     break
                 batch.append(nxt)
                 total += len(nxt[0])
@@ -605,7 +605,6 @@ class ModelServer:
         return {
             "model_version": active.version,
             "packed": active.packed,
-            "code_table": active.code_table,
             "threshold": self._threshold,
             "n_requests": self.n_requests_,
             "n_batches": self.n_batches_,

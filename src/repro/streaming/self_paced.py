@@ -100,13 +100,9 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
     mode : {"exact", "reservoir"}, default "exact"
         See the module docstring. ``"exact"`` is bit-identical to the
         in-memory classifier for the same ``random_state``; ``"reservoir"``
-        bounds memory independently of the majority size.
-
-        ``shared_binning`` is rejected here: the shared bin context caches
-        an O(rows × features) code matrix, which would break the
-        out-of-core memory contract. The bit-identical inference fastpath
-        still applies — per-iteration block scoring and ``predict_proba``
-        run through the packed kernel automatically.
+        bounds memory independently of the majority size. Per-iteration
+        block scoring and ``predict_proba`` run through the packed kernel,
+        like the in-memory classifier's.
     hardness_range : (low, high), default (0.0, 1.0)
         Fixed bin support for ``mode="reservoir"`` (unbounded hardness
         functions such as cross-entropy are clipped into it). Ignored in
@@ -134,7 +130,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
         n_jobs: Optional[int] = None,
         backend: str = "thread",
         chunk_size: Optional[int] = None,
-        shared_binning: bool = False,
         random_state=None,
         mode: str = "exact",
         hardness_range: Tuple[float, float] = (0.0, 1.0),
@@ -150,7 +145,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
             n_jobs=n_jobs,
             backend=backend,
             chunk_size=chunk_size,
-            shared_binning=shared_binning,
             random_state=random_state,
         )
         self.mode = mode
@@ -169,13 +163,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
         if self.mode not in ("exact", "reservoir"):
             raise ValueError(
                 f"Unknown mode {self.mode!r}; expected 'exact' or 'reservoir'"
-            )
-        if self.shared_binning:
-            raise ValueError(
-                "shared_binning is not supported out-of-core: the shared "
-                "code matrix is O(rows x features) and would break the "
-                "streaming memory contract. Use the in-memory "
-                "SelfPacedEnsembleClassifier for shared binning."
             )
         if isinstance(X, DataSource):
             if y is not None:

@@ -17,8 +17,8 @@ from scipy import optimize
 
 from ..base import BaseEstimator, ClassifierMixin
 from ..utils.validation import (
-    check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
@@ -130,7 +130,7 @@ class SVC(BaseEstimator, ClassifierMixin):
     def decision_function(self, X) -> np.ndarray:
         """Real-valued scores for the positive class."""
         check_is_fitted(self, ["_alpha_scaled"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         # Chunk the kernel evaluation so memory stays ~32 MB per block.
         n_ref = self._X_fit.shape[0]
         rows_per_chunk = max(1, int(4e6 / max(n_ref, 1)))
@@ -247,7 +247,7 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
     def decision_function(self, X) -> np.ndarray:
         """Real-valued scores for the positive class."""
         check_is_fitted(self, ["coef_"])
-        X = check_array(X)
+        X = check_n_features(self, X)
         return X @ self.coef_ + self.intercept_
 
     def predict_proba(self, X) -> np.ndarray:

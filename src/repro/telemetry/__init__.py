@@ -34,9 +34,9 @@ Quickstart::
     print(telemetry.render_prometheus())
     snap = telemetry.snapshot()
 
-Fit-path stage timers (:func:`stage_timer`) account shared binning,
-per-iteration self-paced sampling, member fits, and tree levels into the
-``repro_fit_stage_seconds{stage=...}`` histogram family.
+Fit-path stage timers (:func:`stage_timer`) account the SPE fit's
+per-iteration majority scoring, self-paced sampling and member fits into
+the ``repro_fit_stage_seconds{stage=...}`` histogram family.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def stage_histogram(stage: str) -> Histogram:
     if child is None:
         child = get_registry().histogram(
             "repro_fit_stage_seconds",
-            "Fit-path stage durations (shared binning, self-paced "
-            "sampling, member fits, tree levels).",
+            "Fit-path stage durations (majority scoring, self-paced "
+            "sampling, member fits).",
             labels=("stage",),
         ).labels(stage)
         _STAGE_CHILDREN[stage] = child

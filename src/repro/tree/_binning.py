@@ -7,6 +7,7 @@ from typing import Tuple
 import numpy as np
 
 from ..utils.kernel_pool import kernel_map
+from ..exceptions import DataValidationError
 from ..utils.validation import check_array
 
 __all__ = ["FeatureBinner"]
@@ -70,9 +71,8 @@ class FeatureBinner:
             X, lambda j: _column_edges(X[:, j], self.max_bins, quantiles)
         )
         self.n_bins_ = np.array([e.size + 1 for e in edges_list], dtype=np.int64)
-        # Immutable tuple: the fitted cut points are shared freely (e.g. by
-        # a SharedBinContext across many member trees) without defensive
-        # copies, and accidental per-member mutation is impossible.
+        # Immutable tuple: the fitted cut points can be shared without
+        # defensive copies, and accidental mutation is impossible.
         self.edges_: Tuple[np.ndarray, ...] = tuple(edges_list)
         self.n_features_ = X.shape[1]
         return self
@@ -87,7 +87,7 @@ class FeatureBinner:
         ):
             X = check_array(X)
         if X.shape[1] != self.n_features_:
-            raise ValueError(
+            raise DataValidationError(
                 f"X has {X.shape[1]} features, binner was fitted with "
                 f"{self.n_features_}."
             )

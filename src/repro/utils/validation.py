@@ -14,6 +14,8 @@ __all__ = [
     "check_array",
     "check_X_y",
     "check_is_fitted",
+    "check_n_features",
+    "check_both_classes",
     "check_sample_weight",
     "column_or_1d",
     "unique_labels",
@@ -132,6 +134,31 @@ def check_is_fitted(estimator: Any, attributes: Optional[Sequence[str]] = None) 
             f"This {type(estimator).__name__} instance is not fitted yet. "
             "Call 'fit' with appropriate arguments first."
         )
+
+
+def check_n_features(estimator: Any, X) -> np.ndarray:
+    """``check_array(X)`` for a fitted estimator: rows must have the
+    ``n_features_in_`` columns the estimator was fitted on, else
+    :class:`DataValidationError` (a ``ValueError``) names both widths."""
+    X = check_array(X)
+    expected = getattr(estimator, "n_features_in_", None)
+    if expected is not None and X.shape[1] != expected:
+        raise DataValidationError(
+            f"X has {X.shape[1]} features, but {type(estimator).__name__} "
+            f"was fitted with {expected}."
+        )
+    return X
+
+
+def check_both_classes(y_internal: np.ndarray, estimator: Any) -> None:
+    """Reject an internally encoded label vector missing a class, naming
+    the missing one (0 = majority, 1 = minority)."""
+    for code, role in ((1, "minority"), (0, "majority")):
+        if not (y_internal == code).any():
+            raise DataValidationError(
+                f"{type(estimator).__name__} requires both classes present; "
+                f"y has no {role} samples (internal class {code})."
+            )
 
 
 def check_sample_weight(sample_weight, n_samples: int) -> np.ndarray:

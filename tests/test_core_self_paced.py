@@ -287,6 +287,14 @@ class TestSPEValidation:
         with pytest.raises(Exception):
             SelfPacedEnsembleClassifier().fit(X, np.zeros(30, dtype=int))
 
+    @pytest.mark.parametrize("label,missing", [(0, "minority"), (1, "majority")])
+    def test_single_class_raises_typed_naming_missing_class(self, rng, label, missing):
+        from repro.exceptions import DataValidationError
+
+        X = rng.randn(30, 2)
+        with pytest.raises(DataValidationError, match=f"no {missing} samples"):
+            SelfPacedEnsembleClassifier().fit(X, np.full(30, label))
+
     def test_proba_shape_and_range(self, imbalanced_data):
         X, y = imbalanced_data
         spe = SelfPacedEnsembleClassifier(_base(), n_estimators=4, random_state=0)

@@ -10,8 +10,7 @@ from repro.core import SelfPacedEnsembleClassifier
 from repro.core.self_paced import InMemoryMajorityAccess
 from repro.datasets import make_checkerboard
 from repro.ensemble import BaggingClassifier, RandomForestClassifier
-from repro.fastpath import CodeTable, PackedForest, cached_packed_ensemble
-from repro.fastpath.codetable import SharedMemberScorer
+from repro.fastpath import cached_packed_ensemble
 from repro.imbalance_ensemble import (
     BalanceCascadeClassifier,
     EasyEnsembleClassifier,
@@ -49,13 +48,6 @@ class TestPackedEqualsPerTree:
     def test_self_paced_ensemble(self, data, test_rows):
         X, y = data
         model = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
-        _assert_packed_matches_legacy(model, test_rows)
-
-    def test_self_paced_ensemble_shared_binning(self, data, test_rows):
-        X, y = data
-        model = SelfPacedEnsembleClassifier(
-            n_estimators=6, shared_binning=True, random_state=0
-        ).fit(X, y)
         _assert_packed_matches_legacy(model, test_rows)
 
     def test_random_forest(self, data, test_rows):
@@ -148,139 +140,20 @@ class TestDegenerateShapes:
 
 
 class TestScoringFastpath:
-    """The SPE fit loop's majority scoring (packed kernel / per-member code
-    table) must equal the chunked per-tree path bit for bit, so it cannot
-    change the fitted ensemble."""
+    """The SPE fit loop's majority scoring (packed kernel) must equal the
+    chunked per-tree path bit for bit, so it cannot change the fitted
+    ensemble."""
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_fit_bit_identical_with_and_without_kernels(self, data, shared):
+    def test_fit_bit_identical_with_and_without_kernels(self, data):
         X, y = data
-        model = SelfPacedEnsembleClassifier(
-            n_estimators=6, shared_binning=shared, random_state=0
-        ).fit(X, y)
+        model = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
         maj_idx = np.flatnonzero(y == model.majority_class_)
-        context = getattr(model.estimators_[0], "_shared_bin_context", None)
-        assert (context is not None) == shared
-        majority = InMemoryMajorityAccess(
-            X, maj_idx, model._proba_pos, bin_context=context
-        )
+        majority = InMemoryMajorityAccess(X, maj_idx, model._proba_pos)
         for member in model.estimators_:
             reference = ensemble_predict_proba(
                 [member], X[maj_idx], np.array([0, 1]), packed="never"
             )[:, 1]
             assert np.array_equal(majority.score(member), reference)
-            if shared:  # the per-member code table must actually compile
-                table = SharedMemberScorer(context, maj_idx)
-                assert table.predict_proba(member, np.array([0, 1])) is not None
-
-    def test_code_table_refuses_foreign_thresholds(self, data):
-        """A tree whose thresholds are not shared-binner edges must not be
-        compiled into a table."""
-        X, y = data
-        shared = SelfPacedEnsembleClassifier(
-            n_estimators=2, shared_binning=True, random_state=0
-        ).fit(X, y)
-        context = shared.estimators_[0]._shared_bin_context
-        rng = np.random.RandomState(1)
-        foreign = DecisionTreeClassifier(max_depth=4).fit(
-            rng.randn(200, X.shape[1]), rng.randint(0, 2, 200)
-        )
-        forest = PackedForest.from_estimators([foreign], np.array([0, 1]))
-        assert CodeTable.maybe_build(forest, context.binner) is None
-
-    def test_code_table_matches_traversal(self, data, test_rows):
-        X, y = data
-        model = SelfPacedEnsembleClassifier(
-            n_estimators=5, shared_binning=True, random_state=2
-        ).fit(X, y)
-        entry = cached_packed_ensemble(model.estimators_, model.classes_)
-        assert entry is not None
-        forest, table = entry
-        assert table is not None, "shared-binning SPE should compile a table"
-        assert np.array_equal(
-            table.predict_proba(test_rows), forest.predict_proba(test_rows)
-        )
-
-
-class TestSharedBinningBehaviour:
-    def test_deterministic_and_backend_equivalent(self, data, test_rows):
-        X, y = data
-        ref = None
-        for backend in ("serial", "thread"):
-            model = UnderBaggingClassifier(
-                n_estimators=5, shared_binning=True, backend=backend,
-                n_jobs=2, random_state=0,
-            ).fit(X, y)
-            proba = model.predict_proba(test_rows)
-            if ref is None:
-                ref = proba
-            assert np.array_equal(proba, ref)
-
-    def test_process_backend_rejected(self, data):
-        X, y = data
-        model = UnderBaggingClassifier(
-            n_estimators=3, shared_binning=True, backend="process", random_state=0
-        )
-        with pytest.raises(ValueError, match="process"):
-            model.fit(X, y)
-
-    def test_spe_draws_same_rows_either_mode(self, data):
-        """Shared binning changes tree thresholds, never the sampling: RNG
-        consumption is identical, so both modes train on the same subsets."""
-        X, y = data
-        a = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
-        b = SelfPacedEnsembleClassifier(
-            n_estimators=6, shared_binning=True, random_state=0
-        ).fit(X, y)
-        assert a.n_training_samples_ == b.n_training_samples_
-        assert [e.tree_.n_node_samples[0] for e in a.estimators_] == [
-            e.tree_.n_node_samples[0] for e in b.estimators_
-        ]
-
-    def test_quality_parity(self):
-        """Full-matrix bin edges must not cost measurable quality (averaged
-        over seeds — individual fits differ by normal ensemble variance)."""
-        from repro.metrics import average_precision_score
-
-        X, y = make_checkerboard(n_minority=150, n_majority=1500, random_state=5)
-        X_te, y_te = make_checkerboard(n_minority=150, n_majority=1500, random_state=6)
-        scores = {False: [], True: []}
-        for seed in range(5):
-            for shared in (False, True):
-                model = SelfPacedEnsembleClassifier(
-                    n_estimators=10, shared_binning=shared, random_state=seed
-                ).fit(X, y)
-                scores[shared].append(
-                    average_precision_score(y_te, model.predict_proba(X_te)[:, 1])
-                )
-        assert abs(np.mean(scores[True]) - np.mean(scores[False])) < 0.05
-
-    def test_non_tree_estimator_rejected(self, data):
-        from repro.neighbors import KNeighborsClassifier
-
-        X, y = data
-        model = SelfPacedEnsembleClassifier(
-            estimator=KNeighborsClassifier(), shared_binning=True, random_state=0
-        )
-        with pytest.raises(ValueError, match="tree base estimator"):
-            model.fit(X, y)
-
-    def test_streaming_rejects_shared_binning(self, data):
-        X, y = data
-        model = StreamingSelfPacedEnsembleClassifier(
-            n_estimators=3, shared_binning=True, random_state=0
-        )
-        with pytest.raises(ValueError, match="out-of-core"):
-            model.fit(ArraySource(X, y))
-
-    def test_forest_and_bagging_shared_fit_predicts_sanely(self, data, test_rows):
-        X, y = data
-        for cls in (RandomForestClassifier, BaggingClassifier, EasyEnsembleClassifier):
-            model = cls(n_estimators=4, shared_binning=True, random_state=0).fit(X, y)
-            proba = model.predict_proba(test_rows)
-            assert proba.shape == (len(test_rows), 2)
-            assert np.allclose(proba.sum(axis=1), 1.0)
-            _assert_packed_matches_legacy(model, test_rows)
 
 
 class TestPackCache:
@@ -289,11 +162,11 @@ class TestPackCache:
         model = BaggingClassifier(n_estimators=3, random_state=0).fit(X, y)
         first = cached_packed_ensemble(model.estimators_, model.classes_)
         again = cached_packed_ensemble(model.estimators_, model.classes_)
-        assert first[0] is again[0]  # same PackedForest object: cache hit
+        assert first is again  # same PackedForest object: cache hit
         before = model.predict_proba(test_rows)
         model.fit(X, 1 - y)  # refit in place: trees replaced
         rebuilt = cached_packed_ensemble(model.estimators_, model.classes_)
-        assert rebuilt[0] is not first[0]
+        assert rebuilt is not first
         after = model.predict_proba(test_rows)
         assert not np.array_equal(before, after)
         _assert_packed_matches_legacy(model, test_rows)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_paced_bin_weights
 from repro.core.self_paced import self_paced_under_sample
-from repro.fastpath import BinnedSubset, CodeTable, PackedForest, SharedBinContext
+from repro.fastpath import PackedForest
 from repro.parallel import ensemble_predict_proba
 from repro.parallel.executor import parallel_map
 from repro.parallel.inference import _SHARED_PAYLOADS
@@ -278,91 +278,6 @@ class TestLevelSynchronousBuilder:
 
 
 # --------------------------------------------------------------------- #
-class TestSharedBinContext:
-    def test_codes_use_smallest_dtype(self, rng):
-        context = SharedBinContext(rng.randn(500, 2), max_bins=64)
-        assert context.codes.dtype == np.uint8
-
-    def test_views_slice_without_rebinning(self, rng):
-        X = rng.randn(100, 3)
-        context = SharedBinContext(X, max_bins=16)
-        view = context.view(np.array([5, 1, 7]))
-        assert len(view) == 3 and view.shape == (3, 3)
-        assert np.array_equal(view.binned_codes(), context.codes[[5, 1, 7]])
-        # fancy indexing returns a sub-view; __array__ materialises floats
-        sub = view[np.array([2, 0])]
-        assert isinstance(sub, BinnedSubset)
-        assert np.array_equal(np.asarray(sub), X[[7, 5]])
-
-    def test_concat_requires_same_context(self, rng):
-        X = rng.randn(20, 2)
-        a = SharedBinContext(X).view(np.arange(5))
-        b = SharedBinContext(X).view(np.arange(5))
-        with pytest.raises(ValueError):
-            a.concat(b)
-
-    def test_tree_fit_on_view_without_requantization(self, rng):
-        """Context resolution == tree max_bins: the tree trains directly on
-        the shared codes and equals build_tree on them."""
-        X = rng.randn(300, 2)
-        y = (X[:, 0] > 0).astype(int)
-        context = SharedBinContext(X, max_bins=32)
-        tree = DecisionTreeClassifier(max_depth=4, max_bins=32).fit(
-            context.all_rows(), y
-        )
-        reference = build_tree(
-            context.codes, y, np.ones(len(y)), context.binner,
-            n_classes=2, max_depth=4,
-        )
-        assert np.array_equal(tree.tree_.feature, reference.feature)
-        assert np.array_equal(tree.tree_.threshold, reference.threshold)
-        assert tree._shared_bin_context is context
-        assert tree._member_remap is None
-
-    def test_tree_fit_on_fine_view_requantizes_onto_shared_edges(self, rng):
-        """Fine context: the member derives its own cuts, and every fitted
-        threshold is exactly one of the shared fine edges."""
-        X = rng.randn(400, 2)
-        y = (X[:, 0] * X[:, 1] > 0).astype(int)
-        context = SharedBinContext(X, max_bins=255)
-        tree = DecisionTreeClassifier(max_depth=5, max_bins=16).fit(
-            context.all_rows(), y
-        )
-        assert tree._member_remap is not None
-        assert int(tree._member_binner.n_bins_.max()) <= 16
-        internal = tree.tree_.feature >= 0
-        for f, thr in zip(tree.tree_.feature[internal], tree.tree_.threshold[internal]):
-            assert thr in context.binner.edges_[f]
-        # requantized member codes agree with the member binner's transform
-        member_codes = tree._member_remap[
-            np.arange(2)[None, :], context.codes
-        ]
-        assert np.array_equal(member_codes, tree._member_binner.transform(X))
-
-    def test_balanced_fit_rows(self):
-        from repro.fastpath.bincontext import balanced_fit_rows
-
-        y = np.array([0] * 90 + [1] * 10)
-        rows = balanced_fit_rows(y)
-        assert len(rows) == 20
-        assert (y[rows] == 1).sum() == 10
-        assert balanced_fit_rows(np.array([1, 1, 0])) is None
-
-    def test_pickle_drops_matrix_keeps_binner(self, rng):
-        import pickle
-
-        X = rng.randn(50, 2)
-        context = SharedBinContext(X, max_bins=8)
-        restored = pickle.loads(pickle.dumps(context))
-        assert restored.codes is None and restored.X is None
-        assert np.array_equal(
-            restored.binner.transform(X), context.binner.transform(X)
-        )
-        with pytest.raises(ValueError, match="unpickled"):
-            restored.view(np.arange(3))
-
-
-# --------------------------------------------------------------------- #
 class TestPackedKernel:
     def test_apply_matches_tree_apply(self, rng):
         X = rng.randn(400, 3)
@@ -379,7 +294,7 @@ class TestPackedKernel:
     def test_fused_and_segmented_agree(self, rng, monkeypatch):
         """Small batches take the fused kernel, large the segmented one —
         force each shape over the same rows and check both against
-        ``Tree.apply``, on the raw-float and the integer-code routes."""
+        ``Tree.apply`` and the chunked per-tree probabilities."""
         import repro.fastpath.packed as packed_mod
         from repro.fastpath.packed import _level_order_adjacent
 
@@ -409,16 +324,7 @@ class TestPackedKernel:
                 out.append(forest.roots[t] + new_id[est.tree_.apply(Z)])
             return np.array(out)
 
-        # Code route: values are integers, so x < t  <=>  x < ceil(t); the
-        # cuts' leaf entries are garbage the kernel must ignore.
-        codes = X.astype(np.int64)
-        cuts = np.ceil(forest.threshold).astype(np.int64)
-        cuts[forest.feature == -1] = 10 ** 6
-        want_rows, want_codes = expected(rows), expected(X)
-
-        # The trees' own binner: every threshold is one of its edges, so the
-        # forest compiles to a code table (through apply_codes).
-        binner = FeatureBinner().fit(X)
+        want_rows = expected(rows)
         want_proba = ensemble_predict_proba(trees, X, np.array([0, 1]),
                                             packed="never")
 
@@ -426,9 +332,7 @@ class TestPackedKernel:
         for fused_lanes in (1 << 30, 0):
             monkeypatch.setattr(packed_mod, "_FUSED_LANES", fused_lanes)
             assert np.array_equal(forest.apply(rows), want_rows), fused_lanes
-            assert np.array_equal(forest.apply_codes(codes, cuts), want_codes)
-            table = CodeTable.maybe_build(forest, binner)
-            assert np.array_equal(table.predict_proba(X), want_proba)
+            assert np.array_equal(forest.predict_proba(X), want_proba)
 
 
 def _node_depths(tree):

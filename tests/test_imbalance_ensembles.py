@@ -165,6 +165,14 @@ class TestSMOTEBagging:
         model = SMOTEBaggingClassifier(_base(), n_estimators=3, random_state=0).fit(X, y)
         assert model.n_training_samples_ == 3 * 2 * n_maj
 
+    @pytest.mark.parametrize("label,missing", [(0, "minority"), (1, "majority")])
+    def test_single_class_raises_typed_naming_missing_class(self, label, missing):
+        from repro.exceptions import DataValidationError
+
+        X = np.random.RandomState(0).randn(30, 2)
+        with pytest.raises(DataValidationError, match=f"no {missing} samples"):
+            SMOTEBaggingClassifier(n_estimators=3).fit(X, np.full(30, label))
+
 
 class TestResampleEnsemble:
     def test_generic_sampler_wrap(self, imbalanced_data):

@@ -42,9 +42,6 @@ def data():
 def _builders():
     return {
         "spe": lambda: SelfPacedEnsembleClassifier(n_estimators=4, random_state=0),
-        "spe_shared": lambda: SelfPacedEnsembleClassifier(
-            n_estimators=4, shared_binning=True, random_state=0
-        ),
         "streaming_spe": lambda: StreamingSelfPacedEnsembleClassifier(
             n_estimators=4, random_state=0
         ),
@@ -94,24 +91,6 @@ class TestRoundTripBitIdentity:
             backend=backend, n_jobs=2, chunk_size=64,
         )
         assert np.array_equal(ref, got)
-
-    def test_shared_binning_context_round_trips(self, data, tmp_path):
-        """A shared-binning ensemble reloads with ONE context instance
-        shared by all members, so the code-table fastpath still compiles."""
-        from repro.fastpath.codetable import cached_packed_ensemble
-        from repro.persistence.state import common_shared_context
-
-        X, y, _ = data
-        clf = SelfPacedEnsembleClassifier(
-            n_estimators=4, shared_binning=True, random_state=0
-        ).fit(X, y)
-        loaded = load_model(save_model(clf, tmp_path / "m.npz"))
-        context = common_shared_context(loaded.estimators_)
-        assert context is not None
-        entry = cached_packed_ensemble(loaded.estimators_, np.array([0, 1]))
-        assert entry is not None and entry[1] is not None  # table compiled
-        ref_entry = cached_packed_ensemble(clf.estimators_, np.array([0, 1]))
-        assert np.array_equal(entry[1].table, ref_entry[1].table)
 
     def test_fit_diagnostics_not_persisted(self, data, tmp_path):
         X, y, _ = data
@@ -168,6 +147,63 @@ def _rewrite_artifact(path: pathlib.Path, mutate_header=None, mutate_arrays=None
     buffer = io.BytesIO()
     np.savez(buffer, **payload)
     path.write_bytes(buffer.getvalue())
+
+
+class TestRemovedSharedBinning:
+    """Artifacts of the six ensembles that once took ``shared_binning``
+    record it among their params: ``false`` (every default model) is
+    dropped on load, anything that needs the removed feature fails typed."""
+
+    @staticmethod
+    def _saved(data, tmp_path, name):
+        X, y, _ = data
+        clf = _builders()[name]().fit(X, y)
+        path = tmp_path / f"{name}.npz"
+        save_model(clf, path)
+        return clf, path
+
+    @pytest.mark.parametrize("name", sorted(_builders()))
+    def test_false_param_loads_bit_identically(self, data, tmp_path, name):
+        X_test = data[2]
+        clf, path = self._saved(data, tmp_path, name)
+        _rewrite_artifact(
+            path, mutate_header=lambda h: h["root"]["params"].update(shared_binning=False)
+        )
+        for mmap_mode in (None, "r"):
+            loaded = load_model(path, mmap_mode=mmap_mode)
+            assert np.array_equal(loaded.predict_proba(X_test), clf.predict_proba(X_test))
+
+    @pytest.mark.parametrize("name", sorted(_builders()))
+    def test_shared_artifact_rejected(self, data, tmp_path, name):
+        _, path = self._saved(data, tmp_path, name)
+        _rewrite_artifact(path, mutate_header=_mark_shared(param=True, node=True))
+        with pytest.raises(PersistenceError, match="shared_binning"):
+            load_model(path)
+
+    @pytest.mark.parametrize("param,node", [(True, False), (False, True)])
+    def test_either_trace_of_shared_binning_rejected(self, data, tmp_path, param, node):
+        _, path = self._saved(data, tmp_path, "spe")
+        _rewrite_artifact(path, mutate_header=_mark_shared(param=param, node=node))
+        with pytest.raises(PersistenceError, match="shared_binning"):
+            load_model(path)
+
+
+def _mark_shared(param: bool, node: bool):
+    """Header mutation giving the root the traces a shared-binning fit
+    left: a ``true`` param and/or a ``SharedBinContext`` child node."""
+
+    def mutate(header):
+        root = header["root"]
+        root["params"]["shared_binning"] = param
+        if node:
+            root["children"]["shared_bin_context"] = {
+                "class": "SharedBinContext",
+                "meta": {"max_bins": 255},
+                "arrays": {},
+                "children": {},
+            }
+
+    return mutate
 
 
 class TestArtifactRejection:

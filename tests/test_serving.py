@@ -14,8 +14,8 @@ import pytest
 
 from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_checkerboard
-from repro.exceptions import ServerOverloadedError
-from repro.fastpath.codetable import cached_packed_ensemble
+from repro.exceptions import DataValidationError, ServerOverloadedError
+from repro.fastpath.packed import cached_packed_ensemble
 from repro.metrics import precision_recall_curve
 from repro.persistence import save_model
 from repro.serving import ModelServer, threshold_for_precision
@@ -50,20 +50,7 @@ class TestWarmLoading:
             assert before is not None
             server.predict_proba(X[:8])  # first request
             after = cached_packed_ensemble(list(estimators), classes)
-            assert before[0] is after[0], "first request re-packed the forest"
-
-    def test_shared_binning_artifact_gets_code_table(self, data, tmp_path):
-        X, y = data
-        clf = SelfPacedEnsembleClassifier(
-            n_estimators=4, shared_binning=True, random_state=0
-        ).fit(X, y)
-        path = tmp_path / "shared.npz"
-        save_model(clf, path)
-        with ModelServer(path) as server:
-            assert server.packed_ and server.code_table_
-            assert np.array_equal(
-                server.predict_proba(X[:32]), clf.predict_proba(X[:32])
-            )
+            assert before is after, "first request re-packed the forest"
 
     def test_wraps_live_model_too(self, fitted, data):
         X, _ = data
@@ -105,6 +92,46 @@ class TestMicroBatching:
                     future.result(timeout=30), direct[offset : offset + size]
                 )
                 offset += size
+
+    def test_wrong_width_rejected_at_submit(self, fitted, data):
+        """Rows of another width fail typed at submission, so they never
+        join (and break) another request's batch."""
+        X, _ = data
+        with ModelServer(fitted) as server:
+            with pytest.raises(DataValidationError, match="features"):
+                server.submit(np.zeros((3, X.shape[1] + 1)))
+            assert np.array_equal(
+                server.predict_proba(X[:8]), fitted.predict_proba(X[:8])
+            )
+
+    def test_widths_of_swapped_models_never_share_a_batch(self):
+        """Rows admitted for models of different widths around a swap are
+        scored in separate batches: the worker survives and every future
+        resolves."""
+
+        class Stub:
+            def __init__(self, width):
+                self.classes_ = np.array([0, 1])
+                self.n_features_in_ = width
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def predict_proba(self, rows):
+                self.entered.set()
+                assert self.release.wait(timeout=30)
+                return np.full((len(rows), 2), 0.5)
+
+        narrow, wide = Stub(2), Stub(3)
+        wide.release.set()
+        with ModelServer(narrow) as server:
+            first = server.submit(np.zeros((1, 2)))  # occupies the worker
+            assert narrow.entered.wait(timeout=30)
+            queued = [server.submit(np.zeros((1, 2)))]
+            server.swap_model(wide)
+            queued.append(server.submit(np.zeros((1, 3))))
+            narrow.release.set()
+            for future in [first] + queued:
+                assert future.result(timeout=30).shape == (1, 2)
 
     def test_bounded_queue_overflow_raises(self, data):
         X, _ = data
@@ -173,7 +200,7 @@ class TestMicroBatching:
         X, y = data
         clf = RUSBoostClassifier(n_estimators=3, random_state=0).fit(X, y)
         with ModelServer(clf) as server:
-            assert not server.packed_ and not server.code_table_
+            assert not server.packed_
             assert np.array_equal(
                 server.predict_proba(X[:16]), clf.predict_proba(X[:16])
             )

@@ -15,7 +15,7 @@ from repro.base import (
     is_persistable,
     supports_sample_weight,
 )
-from repro.exceptions import NotFittedError
+from repro.exceptions import DataValidationError, NotFittedError
 from repro.registry import (
     classifier_spec,
     list_classifiers,
@@ -113,6 +113,18 @@ class TestFittedBehaviour:
         assert np.all(np.isfinite(proba))
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
         assert set(np.unique(clf.predict(X[:10]))) <= {0, 1}
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_feature_count_mismatch_raises_typed(self, name, toy):
+        """Rows wider or narrower than the fitted width fail with the typed
+        error at predict time instead of scoring garbage or failing inside
+        numpy."""
+        X, y = toy
+        clf = smoke_instance(name).fit(X, y)
+        wide = np.hstack([X[:5], X[:5, :1]])
+        for rows in (wide, X[:5, :-1]):
+            with pytest.raises(DataValidationError, match="features"):
+                clf.predict_proba(rows)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_persistable_flag_matches_hooks(self, name):

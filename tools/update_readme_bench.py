@@ -23,9 +23,7 @@ END = "<!-- BENCH_FASTPATH_TABLE_END -->"
 
 def render_table(report: dict) -> str:
     ds = report["dataset"]
-    r = report["results"]
-    packed = r["predict_packed"]
-    table = r["predict_codetable"]
+    packed = report["results"]["predict_packed"]
     chunked = 'chunked (`packed="never"`)'
     lines = [
         f"Checkerboard |P|={ds['n_minority']}, |N|={ds['n_majority']} "
@@ -34,19 +32,11 @@ def render_table(report: dict) -> str:
         "",
         "| Path | Reference | Reference time | Fast time | Speedup |",
         "|---|---|---|---|---|",
-        "| SPE end-to-end fit, `shared_binning=True` | default fit "
-        f"| {r['fit']['default_seconds']:.3f}s | {r['fit']['shared_binning_seconds']:.3f}s "
-        f"| **{r['fit']['speedup']:.2f}×** |",
         f"| `predict_proba`, bulk, packed kernel | {chunked} "
         f"| {packed['bulk_chunked_seconds']:.3f}s | {packed['bulk_packed_seconds']:.3f}s "
         f"| **{packed['bulk_speedup']:.2f}×** |",
-        f"| `predict_proba`, bulk, compiled code table | {chunked} "
-        f"| {table['bulk_chunked_seconds']:.3f}s | {table['bulk_codetable_seconds']:.3f}s "
-        f"| **{table['bulk_speedup']:.2f}×** |",
         f"| `predict_proba`, {packed['serve_batch']}-row serving batches, packed "
         f"| {chunked} | | | **{packed['serve_speedup']:.2f}×** |",
-        f"| `predict_proba`, {table['serve_batch']}-row serving batches, code table "
-        f"| {chunked} | | | **{table['serve_speedup']:.2f}×** |",
     ]
     return "\n".join(lines)
 
